@@ -15,12 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InternalInvariantViolation, OutOfRange
-from .growth import (
-    growth_rate,
-    heston_coefficients,
-    jump_derivative_moment,
-    jump_mean,
-)
+from .growth import growth_rate, heston_coefficients, jump_derivative_moment
 from .params import (
     GbmParams,
     HestonParams,
@@ -29,6 +24,7 @@ from .params import (
     ThreeHalvesParams,
     Utility,
     VasicekParams,
+    kind_of,
 )
 
 __all__ = [
@@ -180,7 +176,7 @@ def optimal_jump(p: JumpDiffusionParams, u: Utility) -> AllocationDecision:
     quadrature for non-constant laws.
     """
     theta = u.theta
-    slope0 = theta * (p.mu - p.r) + p.lambda_j * theta * (jump_mean(p.jump) - 1.0)
+    slope0 = theta * (p.mu - p.r) + p.lambda_j * theta * (p.jump.mean() - 1.0)
     if slope0 <= 0.0:
         return _decide(p, u, 0.0, CASE_BOND_ONLY)
     if _jump_slope(p, u, 1.0) >= 0.0:
@@ -231,19 +227,18 @@ def optimal_vasicek(p: VasicekParams, u: Utility) -> AllocationDecision:
     return _decide(p, u, dagger, CASE_INTERIOR, dagger)
 
 
+_DECISIONS = {
+    "gbm": optimal_gbm,
+    "heston": optimal_heston,
+    "three_halves": optimal_three_halves,
+    "jump": optimal_jump,
+    "vasicek": optimal_vasicek,
+}
+
+
 def optimal_allocation(model: ModelSpec, u: Utility) -> AllocationDecision:
     """Dispatch to the closed-form decision for the given model."""
-    if isinstance(model, GbmParams):
-        return optimal_gbm(model, u)
-    if isinstance(model, HestonParams):
-        return optimal_heston(model, u)
-    if isinstance(model, ThreeHalvesParams):
-        return optimal_three_halves(model, u)
-    if isinstance(model, JumpDiffusionParams):
-        return optimal_jump(model, u)
-    if isinstance(model, VasicekParams):
-        return optimal_vasicek(model, u)
-    raise OutOfRange(f"unsupported model type {type(model).__name__}")
+    return _DECISIONS[kind_of(model)](model, u)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

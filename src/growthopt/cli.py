@@ -10,7 +10,8 @@ transform-3-2  finite-horizon Laplace transform against Monte Carlo
 
 Runs are described by a flat ``key = value`` config file with ``#``
 comments and three sections: ``model.*``, ``utility.*`` and ``run.*``.
-Unknown keys are hard errors. Command-line flags override ``run.*`` values.
+Unknown keys are hard errors. Command-line flags override ``run.*`` values
+and are parsed by the same rules.
 
 Exit codes: 0 success (and every check passed), 1 verification failure,
 2 validation or usage error, 3 I/O error.
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 from . import growth, verify
 from .allocate import optimal_allocation
 from .errors import (
-    ConfigError,
     DuplicateKey,
     DuplicateUtility,
     GrowthOptError,
@@ -37,12 +37,10 @@ from .errors import (
     UnknownKey,
 )
 from .params import (
-    GbmParams,
-    HestonParams,
-    JumpDiffusionParams,
-    ThreeHalvesParams,
+    _MODEL_CLASSES,
     Utility,
-    VasicekParams,
+    kind_of,
+    mapping_keys,
     theta_from_gamma,
     validate,
 )
@@ -60,24 +58,6 @@ MC_ALLOWANCE = {
     "vasicek": 2e-3,
     "jump": 1e-3,
 }
-
-_MODEL_KIND = {
-    GbmParams: "gbm",
-    HestonParams: "heston",
-    ThreeHalvesParams: "three_halves",
-    JumpDiffusionParams: "jump",
-    VasicekParams: "vasicek",
-}
-
-_MODEL_KEYS = {
-    "gbm": ({"mu", "sigma", "r"}, set()),
-    "heston": ({"mu", "kappa", "gamma_level", "delta", "rho", "r", "nu0"}, set()),
-    "three_halves": ({"mu", "kappa", "gamma_level", "delta", "r", "nu0"}, set()),
-    "jump": ({"mu", "sigma", "lambda_j", "r", "jump_kind"}, {"jump_y", "jump_rate"}),
-    "vasicek": ({"mu", "sigma", "kappa", "gamma_level", "delta", "rho", "r0"}, set()),
-}
-
-_STRING_MODEL_KEYS = {"kind", "jump_kind"}
 
 _RUN_KEYS = {
     "points": "int",
@@ -154,24 +134,19 @@ def parse_config(text: str) -> RunConfig:
     kind = model_raw.pop("kind", None)
     if kind is None:
         raise MissingKey("missing key 'model.kind'")
-    if kind not in _MODEL_KEYS:
-        known = ", ".join(sorted(_MODEL_KEYS))
+    if kind not in _MODEL_CLASSES:
+        known = ", ".join(sorted(_MODEL_CLASSES))
         raise TypeMismatch(f"model.kind: unknown model {kind!r}; expected one of: {known}")
-    required, optional = _MODEL_KEYS[kind]
-    unknown = set(model_raw) - required - optional
+    required, accepted = mapping_keys(kind)
+    unknown = model_raw.keys() - accepted
     if unknown:
-        name = sorted(unknown)[0]
-        raise UnknownKey(f"unknown key 'model.{name}' for model kind {kind!r}")
-    missing = required - set(model_raw)
+        raise UnknownKey(f"unknown key 'model.{min(unknown)}' for model kind {kind!r}")
+    missing = required.keys() - model_raw.keys()
     if missing:
-        name = sorted(missing)[0]
-        raise MissingKey(f"missing key 'model.{name}' for model kind {kind!r}")
+        raise MissingKey(f"missing key 'model.{min(missing)}' for model kind {kind!r}")
     mapping = {"kind": kind}
     for key, value in model_raw.items():
-        if key in _STRING_MODEL_KEYS:
-            mapping[key] = value
-        else:
-            mapping[key] = _parse_scalar(f"model.{key}", value, "float")
+        mapping[key] = _parse_scalar(f"model.{key}", value, accepted[key])
     model = validate(mapping)
 
     unknown_u = set(utility_raw) - {"theta", "gamma_rra"}
@@ -204,13 +179,14 @@ def _load_config(path: str) -> RunConfig:
 
 
 def _opt(args, cfg: RunConfig, name: str, default):
-    """Flag value if given, else run.* config value, else default."""
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if name in cfg.options:
-        return cfg.options[name]
-    return default
+    """Flag value if given, else run.* config value, else default.
+
+    A flag is parsed by the rules of the ``run.*`` key it mirrors.
+    """
+    text = getattr(args, name, None)
+    if text is not None:
+        return _parse_scalar(f"--{name.replace('_', '-')}", text, _RUN_KEYS[name])
+    return cfg.options.get(name, default)
 
 
 def _emit(text: str, out_path):
@@ -226,7 +202,7 @@ def _fmt17(x: float) -> str:
 
 
 def _cmd_curve(args, cfg: RunConfig) -> int:
-    points = int(_opt(args, cfg, "points", 101))
+    points = _opt(args, cfg, "points", 101)
     curve = growth.growth_curve(cfg.model, cfg.utility, points)
     fmt = _opt(args, cfg, "format", "csv")
     out = _opt(args, cfg, "out", None)
@@ -265,17 +241,16 @@ def _cmd_optimal(args, cfg: RunConfig) -> int:
 
 
 def _cmd_verify_ode(args, cfg: RunConfig) -> int:
-    alpha = float(_opt(args, cfg, "alpha", 0.5))
-    t_end = float(_opt(args, cfg, "t_end", 100.0))
-    dt = float(_opt(args, cfg, "dt", 1e-3))
-    if isinstance(cfg.model, HestonParams):
-        trace = verify.integrate_heston_riccati(cfg.model, cfg.utility, alpha, t_end, dt)
-    elif isinstance(cfg.model, VasicekParams):
-        trace = verify.integrate_vasicek_ode(cfg.model, cfg.utility, alpha, t_end, dt)
-    else:
-        raise InvalidParameters(
-            ["verify-ode supports only heston and vasicek models"]
-        )
+    alpha = _opt(args, cfg, "alpha", 0.5)
+    t_end = _opt(args, cfg, "t_end", 100.0)
+    dt = _opt(args, cfg, "dt", 1e-3)
+    integrate = {
+        "heston": verify.integrate_heston_riccati,
+        "vasicek": verify.integrate_vasicek_ode,
+    }.get(kind_of(cfg.model))
+    if integrate is None:
+        raise InvalidParameters(["verify-ode supports only heston and vasicek models"])
+    trace = integrate(cfg.model, cfg.utility, alpha, t_end, dt)
     if args.trace_out:
         rows = ["t,A,B"]
         rows += [
@@ -298,17 +273,17 @@ def _z_score(gap: float, se: float) -> float:
 
 
 def _cmd_verify_mc(args, cfg: RunConfig) -> int:
-    alpha = float(_opt(args, cfg, "alpha", 0.5))
-    t = float(_opt(args, cfg, "t", 10.0))
-    paths = int(_opt(args, cfg, "paths", 100_000))
-    steps = int(_opt(args, cfg, "steps", max(1, round(100 * t))))
-    seed = int(_opt(args, cfg, "seed", DEFAULT_SEED))
-    workers = int(_opt(args, cfg, "workers", 1))
+    alpha = _opt(args, cfg, "alpha", 0.5)
+    t = _opt(args, cfg, "t", 10.0)
+    paths = _opt(args, cfg, "paths", 100_000)
+    steps = _opt(args, cfg, "steps", max(1, round(100 * t)))
+    seed = _opt(args, cfg, "seed", DEFAULT_SEED)
+    workers = _opt(args, cfg, "workers", 1)
     est = verify.mc_growth_estimate(
         cfg.model, cfg.utility, alpha, t, paths, steps, seed, workers=workers
     )
     closed = float(growth.growth_rate(cfg.model, cfg.utility, alpha))
-    allowance = MC_ALLOWANCE[_MODEL_KIND[type(cfg.model)]]
+    allowance = MC_ALLOWANCE[kind_of(cfg.model)]
     gap = est.lambda_hat - closed
     passed = abs(gap) <= 3.0 * est.std_error + allowance
     payload = {
@@ -324,14 +299,14 @@ def _cmd_verify_mc(args, cfg: RunConfig) -> int:
 
 
 def _cmd_transform(args, cfg: RunConfig) -> int:
-    if not isinstance(cfg.model, ThreeHalvesParams):
+    if kind_of(cfg.model) != "three_halves":
         raise InvalidParameters(["transform-3-2 requires a three_halves model"])
-    alpha = float(_opt(args, cfg, "alpha", 0.5))
-    t = float(_opt(args, cfg, "t", 1.0))
-    paths = int(_opt(args, cfg, "paths", 100_000))
-    steps = int(_opt(args, cfg, "steps", max(1, round(100 * t))))
-    seed = int(_opt(args, cfg, "seed", DEFAULT_SEED))
-    workers = int(_opt(args, cfg, "workers", 1))
+    alpha = _opt(args, cfg, "alpha", 0.5)
+    t = _opt(args, cfg, "t", 1.0)
+    paths = _opt(args, cfg, "paths", 100_000)
+    steps = _opt(args, cfg, "steps", max(1, round(100 * t)))
+    seed = _opt(args, cfg, "seed", DEFAULT_SEED)
+    workers = _opt(args, cfg, "workers", 1)
     theta = cfg.utility.theta
     lambda_l = 0.5 * alpha * alpha * (theta - theta * theta)
     closed = growth.laplace_three_halves_finite_t(cfg.model, lambda_l, t)
@@ -358,37 +333,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="path to the run config file")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
+        p.add_argument("--out", help="output path (default: stdout)")
 
     p_curve = sub.add_parser("curve", help="sample the growth rate over [0, 1]")
     common(p_curve)
-    p_curve.add_argument("--points", type=int, default=None, help="grid size (default 101)")
-    p_curve.add_argument("--format", choices=("csv", "json"), default=None)
+    p_curve.add_argument("--points", help="grid size (default 101)")
+    p_curve.add_argument("--format", choices=("csv", "json"))
 
     p_opt = sub.add_parser("optimal", help="closed-form optimal allocation")
     common(p_opt)
 
     p_ode = sub.add_parser("verify-ode", help="check the exponent ODE limits")
     common(p_ode)
-    p_ode.add_argument("--alpha", type=float, default=None)
-    p_ode.add_argument("--t-end", dest="t_end", type=float, default=None)
-    p_ode.add_argument("--dt", type=float, default=None)
-    p_ode.add_argument("--trace-out", dest="trace_out", default=None,
-                       help="optional CSV path for the (t, A, B) trace")
+    for flag in ("--alpha", "--t-end", "--dt"):
+        p_ode.add_argument(flag)
+    p_ode.add_argument("--trace-out", help="optional CSV path for the (t, A, B) trace")
 
-    p_mc = sub.add_parser("verify-mc", help="Monte Carlo check of the growth rate")
-    common(p_mc)
-    for flag, typ in (("--alpha", float), ("--t", float), ("--paths", int),
-                      ("--steps", int), ("--workers", int)):
-        p_mc.add_argument(flag, type=typ, default=None)
-    p_mc.add_argument("--seed", type=lambda s: int(s, 0), default=None)
-
-    p_tr = sub.add_parser("transform-3-2", help="check the finite-horizon transform")
-    common(p_tr)
-    for flag, typ in (("--alpha", float), ("--t", float), ("--paths", int),
-                      ("--steps", int), ("--workers", int)):
-        p_tr.add_argument(flag, type=typ, default=None)
-    p_tr.add_argument("--seed", type=lambda s: int(s, 0), default=None)
+    for name, text in (("verify-mc", "Monte Carlo check of the growth rate"),
+                       ("transform-3-2", "check the finite-horizon transform")):
+        p_sim = sub.add_parser(name, help=text)
+        common(p_sim)
+        for flag in ("--alpha", "--t", "--paths", "--steps", "--workers", "--seed"):
+            p_sim.add_argument(flag)
 
     return parser
 
@@ -413,15 +379,12 @@ def run(argv) -> int:
     try:
         cfg = _load_config(args.config)
         return _COMMANDS[args.command](args, cfg)
-    except (ConfigError, InvalidParameters) as exc:
+    except GrowthOptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except GrowthOptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def main() -> None:

@@ -29,6 +29,7 @@ from .params import (
     ThreeHalvesParams,
     Utility,
     VasicekParams,
+    kind_of,
 )
 from .specfun import kummer_m, log_gamma, upper_incomplete_gamma_scaled
 
@@ -44,7 +45,6 @@ __all__ = [
     "laplace_three_halves_finite_t",
     "jump_utility_moment",
     "jump_derivative_moment",
-    "jump_mean",
     "growth_rate",
     "growth_curve",
 ]
@@ -61,7 +61,8 @@ ArrayLike = Union[float, np.ndarray]
 
 def _clamp_alpha(alpha: ArrayLike) -> ArrayLike:
     a = np.asarray(alpha, dtype=float)
-    if np.any(a < -ALPHA_SLACK) or np.any(a > 1.0 + ALPHA_SLACK):
+    # written so that NaN fails the test instead of passing it
+    if not (np.all(a >= -ALPHA_SLACK) and np.all(a <= 1.0 + ALPHA_SLACK)):
         raise OutOfRange(f"alpha must lie in [0, 1], got {alpha!r}")
     a = np.clip(a, 0.0, 1.0)
     if np.ndim(alpha) == 0:
@@ -171,11 +172,6 @@ def laplace_three_halves_finite_t(
     return math.exp(log_front) * m.value
 
 
-def jump_mean(law: JumpLaw) -> float:
-    """Mean jump factor E[Y]."""
-    return law.mean()
-
-
 def _exponential_moment(rate: float, theta: float, alpha: float) -> float:
     """E[(alpha*(Y-1)+1)^theta] for Y ~ Exponential(rate), alpha in (0, 1]."""
     x = rate * (1.0 / alpha - 1.0)
@@ -231,7 +227,7 @@ def jump_derivative_moment(law: JumpLaw, u: Utility, alpha: float) -> float:
     if isinstance(law, ConstantJump):
         return (a * (law.y - 1.0) + 1.0) ** (theta - 1.0) * (law.y - 1.0)
     if a == 0.0:
-        return jump_mean(law) - 1.0
+        return law.mean() - 1.0
     if isinstance(law, ExponentialJump):
         rate = law.rate
         return _density_quad(
@@ -284,19 +280,18 @@ def lambda_vasicek(p: VasicekParams, u: Utility, alpha: ArrayLike) -> ArrayLike:
     )
 
 
+_RATES = {
+    "gbm": lambda_gbm,
+    "heston": lambda_heston,
+    "three_halves": lambda_three_halves,
+    "jump": lambda_jump,
+    "vasicek": lambda_vasicek,
+}
+
+
 def growth_rate(model: ModelSpec, u: Utility, alpha: ArrayLike) -> ArrayLike:
     """Dispatch to the closed-form growth rate of the given model."""
-    if isinstance(model, GbmParams):
-        return lambda_gbm(model, u, alpha)
-    if isinstance(model, HestonParams):
-        return lambda_heston(model, u, alpha)
-    if isinstance(model, ThreeHalvesParams):
-        return lambda_three_halves(model, u, alpha)
-    if isinstance(model, JumpDiffusionParams):
-        return lambda_jump(model, u, alpha)
-    if isinstance(model, VasicekParams):
-        return lambda_vasicek(model, u, alpha)
-    raise OutOfRange(f"unsupported model type {type(model).__name__}")
+    return _RATES[kind_of(model)](model, u, alpha)
 
 
 @dataclass(frozen=True)

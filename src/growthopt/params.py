@@ -5,12 +5,18 @@ construction, so downstream code never sees an invalid parameter set. The
 symbol gamma conventionally names two unrelated quantities in these models
 (risk aversion and a mean-reversion level); here the level is always called
 ``gamma_level`` and risk preferences enter only through ``Utility``.
+
+This is the only module that knows the model kind names (``_MODEL_CLASSES``)
+and how a kind is spelled in a mapping or config (``mapping_keys``). Other
+modules dispatch on ``kind_of``. Adding a kind means one ``_MODEL_CLASSES``
+entry plus one entry in each layer's kind-keyed table: ``growth._RATES``,
+``allocate._DECISIONS``, ``verify._SIMULATORS`` and ``cli.MC_ALLOWANCE``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Union
 
 from scipy import integrate
@@ -221,7 +227,6 @@ class DensityJump:
         v = []
         if _check_finite(v, "bound", self.bound) and self.bound <= 0.0:
             v.append((OutOfRange, f"truncation bound must be > 0, got {self.bound}"))
-            _raise_violations(v)
         _raise_violations(v)
 
         grid = [self.bound * (i + 0.5) / 512 for i in range(512)]
@@ -318,26 +323,50 @@ _MODEL_CLASSES = {
     "vasicek": VasicekParams,
 }
 
-_JUMP_CLASSES = {"constant": ConstantJump, "exponential": ExponentialJump}
+# How a mapping spells each jump law: jump_kind name -> (law, parameter key).
+_JUMP_LAWS = {"constant": (ConstantJump, "jump_y"), "exponential": (ExponentialJump, "jump_rate")}
+
+
+def kind_of(model) -> str:
+    """Kind name of a parameter record; OutOfRange for any other object."""
+    for kind, cls in _MODEL_CLASSES.items():
+        if isinstance(model, cls):
+            return kind
+    raise OutOfRange(f"unsupported model type {type(model).__name__}")
+
+
+def mapping_keys(kind: str) -> tuple[dict, dict]:
+    """Keys a mapping for model ``kind`` must and may carry besides ``kind``.
+
+    Returns ``(required, accepted)``; each maps a key to the type of its
+    value, "float" or "str", and every required key is accepted. The keys
+    are the record's fields, except that the jump law is spelled as
+    ``jump_kind`` plus ``jump_y`` (constant) or ``jump_rate`` (exponential).
+    """
+    required = {f.name: "float" for f in fields(_MODEL_CLASSES[kind])}
+    if "jump" not in required:
+        return required, required
+    del required["jump"]
+    required["jump_kind"] = "str"
+    law_keys = {key: "float" for _, key in _JUMP_LAWS.values()}
+    return required, {**required, **law_keys}
 
 
 def _jump_law_from_mapping(raw: dict) -> JumpLaw:
-    kind = raw.pop("jump_kind", None)
-    if kind is None:
-        raise InvalidParameters(["jump model requires jump_kind (constant | exponential)"])
-    if kind == "constant":
-        y = raw.pop("jump_y", None)
-        if y is None:
-            raise InvalidParameters(["constant jump law requires jump_y"])
-        return ConstantJump(y=y)
-    if kind == "exponential":
-        rate = raw.pop("jump_rate", None)
-        if rate is None:
-            raise InvalidParameters(["exponential jump law requires jump_rate"])
-        return ExponentialJump(rate=rate)
-    raise InvalidParameters([
-        f"unknown jump_kind {kind!r}; density laws must be built programmatically"
-    ])
+    """Pop the jump_kind spelling of a jump law from ``raw``; return the law."""
+    kind = raw.pop("jump_kind")
+    if kind not in _JUMP_LAWS:
+        raise InvalidParameters([
+            f"unknown jump_kind {kind!r}; density laws must be built programmatically"
+        ])
+    law, key = _JUMP_LAWS[kind]
+    if key not in raw:
+        raise InvalidParameters([f"{kind} jump law requires {key}"])
+    built = law(raw.pop(key))
+    stray = sorted(raw.keys() & {k for _, k in _JUMP_LAWS.values()})
+    if stray:
+        raise InvalidParameters([f"unexpected field {k!r} for model 'jump'" for k in stray])
+    return built
 
 
 def validate(spec) -> ModelSpec:
@@ -345,7 +374,7 @@ def validate(spec) -> ModelSpec:
 
     Accepts either an already-constructed parameter record (re-returned as
     is, since records validate on construction) or a mapping with a ``kind``
-    entry naming the model and the remaining entries naming its fields.
+    entry naming the model and the keys ``mapping_keys(kind)`` accepts.
     Raises with every violated invariant listed, not just the first.
     """
     if isinstance(spec, tuple(_MODEL_CLASSES.values())):
@@ -356,17 +385,16 @@ def validate(spec) -> ModelSpec:
         if kind not in _MODEL_CLASSES:
             known = ", ".join(sorted(_MODEL_CLASSES))
             raise InvalidParameters([f"unknown model kind {kind!r}; expected one of: {known}"])
-        cls = _MODEL_CLASSES[kind]
-        if cls is JumpDiffusionParams and "jump" not in raw:
-            raw["jump"] = _jump_law_from_mapping(raw)
-        names = {f for f in cls.__dataclass_fields__ if not f.startswith("_")}
-        extra = set(raw) - names
-        missing = names - set(raw)
-        problems = [f"unexpected field {k!r} for model {kind!r}" for k in sorted(extra)]
-        problems += [f"missing field {k!r} for model {kind!r}" for k in sorted(missing)]
+        required, accepted = mapping_keys(kind)
+        extra = sorted(raw.keys() - accepted)
+        missing = sorted(required.keys() - raw.keys())
+        problems = [f"unexpected field {k!r} for model {kind!r}" for k in extra]
+        problems += [f"missing field {k!r} for model {kind!r}" for k in missing]
         if problems:
             raise InvalidParameters(problems)
-        return cls(**raw)
+        if "jump_kind" in raw:
+            raw["jump"] = _jump_law_from_mapping(raw)
+        return _MODEL_CLASSES[kind](**raw)
     raise InvalidParameters([
         f"cannot validate object of type {type(spec).__name__}; "
         "expected a parameter record or a mapping with a 'kind' entry"

@@ -37,6 +37,7 @@ from .params import (
     ThreeHalvesParams,
     Utility,
     VasicekParams,
+    kind_of,
 )
 
 __all__ = [
@@ -304,15 +305,15 @@ def _log_ratio_vasicek(p: VasicekParams, u, alpha, t, n_steps, rng, size):
     )
 
 
+# kind -> (simulator, time-stepped so n_steps >= 10*t is needed,
+#          bond is random so paths differ even at alpha = 0)
 _SIMULATORS = {
-    GbmParams: _log_ratio_gbm,
-    HestonParams: _log_ratio_heston,
-    ThreeHalvesParams: _log_ratio_three_halves,
-    JumpDiffusionParams: _log_ratio_jump,
-    VasicekParams: _log_ratio_vasicek,
+    "gbm": (_log_ratio_gbm, False, False),
+    "heston": (_log_ratio_heston, True, False),
+    "three_halves": (_log_ratio_three_halves, True, False),
+    "jump": (_log_ratio_jump, False, False),
+    "vasicek": (_log_ratio_vasicek, True, True),
 }
-
-_DISCRETIZED = (HestonParams, ThreeHalvesParams, VasicekParams)
 
 
 def _run_blocks(seed, n_paths, workers, block_fn):
@@ -378,13 +379,11 @@ def mc_growth_estimate(
         raise OutOfRange(f"t must be > 0, got {t}")
     if n_paths < 1 or n_steps < 1:
         raise OutOfRange("n_paths and n_steps must be positive")
-    if isinstance(model, _DISCRETIZED) and n_steps < 10.0 * t:
+    sim, discretized, random_bond = _SIMULATORS[kind_of(model)]
+    if discretized and n_steps < 10.0 * t:
         raise OutOfRange(
             f"discretized models need n_steps >= 10*t, got {n_steps} for t={t}"
         )
-    sim = _SIMULATORS.get(type(model))
-    if sim is None:
-        raise OutOfRange(f"unsupported model type {type(model).__name__}")
 
     def block_fn(rng, size):
         lr = sim(model, u, alpha, t, n_steps, rng, size)
@@ -394,7 +393,7 @@ def mc_growth_estimate(
     powers = _run_blocks(seed, n_paths, workers, block_fn)
     _check_finite(powers, seed)
     m, se_m = _mean_and_se(powers)
-    if se_m == 0.0 and not (alpha == 0.0 and not isinstance(model, VasicekParams)):
+    if se_m == 0.0 and not (alpha == 0.0 and not random_bond):
         raise DegenerateVariance(
             "all simulated paths are identical; check the RNG configuration"
         )

@@ -249,6 +249,33 @@ def test_flag_overrides_config(tmp_path):
     assert len(out.read_text().strip().splitlines()) == 4  # header + 3 rows
 
 
+THREE_HALVES_FLAT = (
+    "model.kind = three_halves\nmodel.mu = 0.08\nmodel.kappa = 2.0\n"
+    "model.gamma_level = 0.04\nmodel.delta = 0.5\nmodel.r = 0.03\n"
+    "model.nu0 = 0.04\nutility.theta = 0.5\n"
+)
+
+
+@pytest.mark.parametrize("command", ["verify-mc", "transform-3-2"])
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "-1"),
+    ("--seed", "0x1ffffffffffffffff"),
+    ("--paths", "12.5"),
+])
+def test_flags_follow_run_key_rules(tmp_path, capsys, command, flag, value):
+    cfg = write(tmp_path, "t.cfg", THREE_HALVES_FLAT)
+    argv = [command, "--config", cfg, "--t", "1", "--paths", "100", "--steps", "10"]
+    assert run(argv + [flag, value]) == 2
+    assert f"error: {flag}: cannot parse {value!r}" in capsys.readouterr().err
+
+
+def test_verify_mc_rejects_nan_alpha(tmp_path, capsys):
+    cfg = write(tmp_path, "g.cfg", GBM_FLAT)
+    argv = ["verify-mc", "--config", cfg, "--paths", "100", "--steps", "1", "--alpha", "nan"]
+    assert run(argv) == 2
+    assert "alpha must lie in [0, 1]" in capsys.readouterr().err
+
+
 def test_default_seed_reproducible(tmp_path):
     cfg = write(tmp_path, "g.cfg", GBM_FLAT)
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

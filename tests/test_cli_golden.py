@@ -1,0 +1,58 @@
+"""Byte-for-byte CLI output on the acceptance-suite reference models.
+
+The files under ``tests/golden/`` hold the output of ``curve --points 11``
+(csv and json) and ``optimal`` (stdout JSON and stderr summary) for each
+model kind. Any change to the numbers or their formatting fails here.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from growthopt.cli import run
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# The *_REF parameters of test_acceptance.py, as config files.
+CONFIGS = {
+    "gbm": "model.kind = gbm\nmodel.mu = 0.08\nmodel.sigma = 0.2\nmodel.r = 0.03\n",
+    "heston": (
+        "model.kind = heston\nmodel.mu = 0.08\nmodel.kappa = 2.0\n"
+        "model.gamma_level = 0.04\nmodel.delta = 0.3\nmodel.rho = -0.5\n"
+        "model.r = 0.03\nmodel.nu0 = 0.04\n"
+    ),
+    "three_halves": (
+        "model.kind = three_halves\nmodel.mu = 0.08\nmodel.kappa = 2.0\n"
+        "model.gamma_level = 0.04\nmodel.delta = 0.5\nmodel.r = 0.03\n"
+        "model.nu0 = 0.04\n"
+    ),
+    "jump": (
+        "model.kind = jump\nmodel.mu = 0.08\nmodel.sigma = 0.2\n"
+        "model.lambda_j = 1.0\nmodel.jump_kind = exponential\n"
+        "model.jump_rate = 2.0\nmodel.r = 0.03\n"
+    ),
+    "vasicek": (
+        "model.kind = vasicek\nmodel.mu = 0.08\nmodel.sigma = 0.2\n"
+        "model.kappa = 2.0\nmodel.gamma_level = 0.03\nmodel.delta = 0.01\n"
+        "model.rho = -0.3\nmodel.r0 = 0.03\n"
+    ),
+}
+
+# (file suffix, argv after --config, stream compared)
+CASES = [
+    ("curve.csv", ["curve", "--points", "11", "--format", "csv"], "out"),
+    ("curve.json", ["curve", "--points", "11", "--format", "json"], "out"),
+    ("optimal.json", ["optimal"], "out"),
+    ("optimal.stderr", ["optimal"], "err"),
+]
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIGS))
+@pytest.mark.parametrize("suffix, argv, stream", CASES, ids=[c[0] for c in CASES])
+def test_cli_output_matches_golden(tmp_path, capsys, kind, suffix, argv, stream):
+    cfg = tmp_path / f"{kind}.cfg"
+    cfg.write_text(CONFIGS[kind] + "utility.theta = 0.5\n")
+    assert run([argv[0], "--config", str(cfg), *argv[1:]]) == 0
+    captured = capsys.readouterr()
+    produced = captured.out if stream == "out" else captured.err
+    assert produced.encode() == (GOLDEN / f"{kind}.{suffix}").read_bytes()

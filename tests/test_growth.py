@@ -61,6 +61,19 @@ def test_alpha_clamp_and_rejection():
         lambda_gbm(GBM, U, -0.1)
 
 
+@pytest.mark.parametrize("model", [GBM, HESTON, THREE_HALVES, VASICEK])
+def test_growth_rate_rejects_nan_alpha(model):
+    with pytest.raises(OutOfRange):
+        growth_rate(model, U, float("nan"))
+    with pytest.raises(OutOfRange):
+        growth_rate(model, U, np.array([0.0, np.nan, 1.0]))
+
+
+def test_growth_rate_rejects_unsupported_model():
+    with pytest.raises(OutOfRange, match="unsupported model type"):
+        growth_rate(object(), U, 0.5)
+
+
 def test_heston_coefficients_examples():
     rho0 = HestonParams(mu=0.08, kappa=2.0, gamma_level=0.04, delta=0.3, rho=0.0, r=0.03, nu0=0.04)
     c = heston_coefficients(rho0, U)

@@ -94,6 +94,16 @@ def test_validate_jump_mapping():
         })
 
 
+def test_validate_jump_mapping_rejects_the_other_law_key():
+    base = {"kind": "jump", "mu": 0.08, "sigma": 0.2, "lambda_j": 1.0, "r": 0.03}
+    with pytest.raises(InvalidParameters, match="unexpected field 'jump_y'"):
+        validate({**base, "jump_kind": "exponential", "jump_rate": 2.0, "jump_y": 1.5})
+    with pytest.raises(InvalidParameters, match="missing field 'jump_kind'"):
+        validate({**base, "jump_rate": 2.0})
+    with pytest.raises(InvalidParameters, match="unknown jump_kind"):
+        validate({**base, "jump_kind": "density", "jump_rate": 2.0})
+
+
 def test_feller_margin_exact_as_stored():
     rng = np.random.default_rng(1)
     for _ in range(200):
