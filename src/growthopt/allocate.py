@@ -1,9 +1,10 @@
 """Optimal static stock fractions, closed form and numeric.
 
 Each ``optimal_*`` function implements the exact case analysis for its
-model; ``numeric_argmax`` is an independent maximizer (golden section on a
-certified-concave objective, dense grid scan otherwise) used to cross-check
-every closed form.
+model; ``numeric_argmax`` is an independent maximizer used to cross-check
+every closed form. It runs golden section on a certified-concave objective;
+otherwise it first brackets the best point of a fixed 1,025-point grid, so
+its cost does not depend on the objective.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ _CASES = {
 
 # Golden-section interval shrink tolerance.
 GOLDEN_TOL = 1e-10
-# Grid resolution of the fallback scan used when concavity is not certified.
-DENSE_GRID_POINTS = 1_000_000
+# Intervals of the fallback grid used when concavity is not certified.
+DENSE_GRID_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -272,10 +273,12 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -
 def numeric_argmax(model: ModelSpec, u: Utility) -> float:
     """Maximizer of the growth rate on [0, 1], independent of case analyses.
 
-    A 64-point probe certifies concavity via second differences; if it
-    fails (possible only for the quadratic rate of the OU-funded model, or
-    a flat objective) a dense grid scan brackets the optimum before the
-    golden-section refinement.
+    A 64-point probe certifies concavity via second differences, and golden
+    section then runs on [0, 1]. If the probe fails (possible only for the
+    quadratic rate of the OU-funded model, or a flat objective), the best
+    point of a 1,025-point grid and its two neighbours bracket the golden
+    section instead. Either way the work is bounded: at most 64 + 1,025
+    grid points plus about 50 golden-section evaluations.
     """
 
     def f(a: float) -> float:

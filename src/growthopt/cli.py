@@ -59,14 +59,17 @@ MC_ALLOWANCE = {
     "jump": 1e-3,
 }
 
+# Horizons and step sizes are "finite float": a NaN or infinite one would
+# reach integer step counts. ``alpha`` and the model keys are plain floats
+# whose domain, non-finite values included, the library checks.
 _RUN_KEYS = {
     "points": "int",
-    "t": "float",
+    "t": "finite float",
     "paths": "int",
     "steps": "int",
     "seed": "seed",
-    "t_end": "float",
-    "dt": "float",
+    "t_end": "finite float",
+    "dt": "finite float",
     "alpha": "float",
     "out": "str",
     "format": "format",
@@ -87,6 +90,11 @@ def _parse_scalar(key: str, text: str, kind: str):
     try:
         if kind == "float":
             return float(text)
+        if kind == "finite float":
+            value = float(text)
+            if not math.isfinite(value):
+                raise ValueError("the value is not finite")
+            return value
         if kind == "int":
             value = int(text, 10)
             return value

@@ -60,14 +60,18 @@ ArrayLike = Union[float, np.ndarray]
 
 
 def _clamp_alpha(alpha: ArrayLike) -> ArrayLike:
+    # Both tests are written so that NaN fails them instead of passing.
+    # Scalars stay in Python floats: optimizers call the rates one alpha at
+    # a time, and numpy's per-call overhead dwarfs the arithmetic.
+    if np.ndim(alpha) == 0:
+        a = float(alpha)
+        if not -ALPHA_SLACK <= a <= 1.0 + ALPHA_SLACK:
+            raise OutOfRange(f"alpha must lie in [0, 1], got {alpha!r}")
+        return min(max(a, 0.0), 1.0)
     a = np.asarray(alpha, dtype=float)
-    # written so that NaN fails the test instead of passing it
     if not (np.all(a >= -ALPHA_SLACK) and np.all(a <= 1.0 + ALPHA_SLACK)):
         raise OutOfRange(f"alpha must lie in [0, 1], got {alpha!r}")
-    a = np.clip(a, 0.0, 1.0)
-    if np.ndim(alpha) == 0:
-        return float(a)
-    return a
+    return np.clip(a, 0.0, 1.0)
 
 
 def _diffusion_growth(mu, r, sigma, theta, alpha):
@@ -154,9 +158,9 @@ def laplace_three_halves_finite_t(
     """
     lambda_l = float(lambda_l)
     t = float(t)
-    if lambda_l <= 0.0:
+    if not (math.isfinite(lambda_l) and lambda_l > 0.0):
         raise OutOfRange(f"lambda_l must be > 0, got {lambda_l}")
-    if t <= 0.0:
+    if not (math.isfinite(t) and t > 0.0):
         raise OutOfRange(f"t must be > 0, got {t}")
     d2 = p.delta * p.delta
     c = 0.5 + p.kappa / d2
@@ -251,15 +255,20 @@ def jump_derivative_moment(law: JumpLaw, u: Utility, alpha: float) -> float:
 
 
 def lambda_jump(p: JumpDiffusionParams, u: Utility, alpha: ArrayLike) -> ArrayLike:
-    """Jump-diffusion growth rate."""
+    """Jump-diffusion growth rate.
+
+    A constant law is evaluated over an alpha array in one numpy power;
+    other laws go through ``jump_utility_moment`` point by point.
+    """
     a = _clamp_alpha(alpha)
     if np.ndim(a) == 0:
         moment = jump_utility_moment(p.jump, u, a)
-        base = _diffusion_growth(p.mu, p.r, p.sigma, u.theta, a)
-        return base + p.lambda_j * (moment - 1.0)
-    moments = np.array([jump_utility_moment(p.jump, u, ai) for ai in a])
+    elif isinstance(p.jump, ConstantJump):
+        moment = (a * (p.jump.y - 1.0) + 1.0) ** u.theta
+    else:
+        moment = np.array([jump_utility_moment(p.jump, u, ai) for ai in a])
     base = _diffusion_growth(p.mu, p.r, p.sigma, u.theta, a)
-    return base + p.lambda_j * (moments - 1.0)
+    return base + p.lambda_j * (moment - 1.0)
 
 
 def lambda_vasicek(p: VasicekParams, u: Utility, alpha: ArrayLike) -> ArrayLike:

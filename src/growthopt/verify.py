@@ -100,7 +100,7 @@ def _rk4_quadratic_trace(qa, qb, qc, pa, pb, b0, t_end, dt, b_limit):
     """
     t_end = float(t_end)
     dt = float(dt)
-    if t_end <= 0.0 or dt <= 0.0 or dt > t_end:
+    if not (math.isfinite(t_end) and 0.0 < dt <= t_end):
         raise OutOfRange(f"need 0 < dt <= t_end, got dt={dt}, t_end={t_end}")
     n = max(1, int(round(t_end / dt)))
     h = t_end / n
@@ -375,7 +375,7 @@ def mc_growth_estimate(
     n_paths = int(n_paths)
     n_steps = int(n_steps)
     seed = int(seed)
-    if t <= 0.0:
+    if not (math.isfinite(t) and t > 0.0):
         raise OutOfRange(f"t must be > 0, got {t}")
     if n_paths < 1 or n_steps < 1:
         raise OutOfRange("n_paths and n_steps must be positive")
@@ -422,9 +422,9 @@ def mc_laplace_three_halves(
     n_paths = int(n_paths)
     n_steps = int(n_steps)
     seed = int(seed)
-    if lambda_l < 0.0:
+    if not (math.isfinite(lambda_l) and lambda_l >= 0.0):
         raise OutOfRange(f"lambda_l must be >= 0, got {lambda_l}")
-    if t <= 0.0:
+    if not (math.isfinite(t) and t > 0.0):
         raise OutOfRange(f"t must be > 0, got {t}")
     if n_paths < 1 or n_steps < 1:
         raise OutOfRange("n_paths and n_steps must be positive")

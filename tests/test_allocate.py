@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from growthopt import allocate
 from growthopt import (
     ConstantJump,
     ExponentialJump,
@@ -135,7 +136,8 @@ def test_vasicek_convex_boundaries():
     assert lo.case_label == hi.case_label == "ConvexBoundary"
     assert lo.alpha_star == 0.0
     assert hi.alpha_star == 1.0
-    # dense-grid oracle agrees even though the rate is convex
+    # the numeric maximizer agrees through its grid fallback even though the
+    # rate is convex
     assert abs(hi.alpha_star - numeric_argmax(VasicekParams(mu=0.30, **base), U)) <= 1e-6
 
 
@@ -144,6 +146,24 @@ def test_vasicek_concave_degeneration_matches_gbm():
     d = optimal_vasicek(p, U)
     g = optimal_gbm(GbmParams(mu=0.05, sigma=0.3, r=0.03), U)
     assert d.alpha_star == pytest.approx(g.alpha_star, abs=1e-6)
+
+
+def test_numeric_argmax_fallback_work_is_bounded(monkeypatch):
+    # mu == r and a unit jump leave a numerically flat objective: the
+    # concavity probe fails and the grid fallback runs
+    p = JumpDiffusionParams(mu=0.03, sigma=1e-9, lambda_j=1.0, jump=ConstantJump(y=1.0), r=0.03)
+    sizes = []
+
+    def counting_rate(model, u, alpha):
+        sizes.append(np.size(alpha))
+        return growth_rate(model, u, alpha)
+
+    monkeypatch.setattr(allocate, "growth_rate", counting_rate)
+    numeric = numeric_argmax(p, U)
+    monkeypatch.undo()
+    assert max(sizes) == allocate.DENSE_GRID_POINTS + 1 <= 1025
+    best = optimal_allocation(p, U)
+    assert float(growth_rate(p, U, best.alpha_star)) - float(growth_rate(p, U, numeric)) <= 1e-10
 
 
 @pytest.mark.parametrize("name", sorted(DRAWERS))

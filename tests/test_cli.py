@@ -276,6 +276,30 @@ def test_verify_mc_rejects_nan_alpha(tmp_path, capsys):
     assert "alpha must lie in [0, 1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("verify-mc", "t", "nan"),
+    ("verify-mc", "t", "inf"),
+    ("verify-ode", "t_end", "nan"),
+    ("verify-ode", "dt", "nan"),
+    ("transform-3-2", "t", "nan"),
+    ("transform-3-2", "alpha", "nan"),
+])
+@pytest.mark.parametrize("source", ["flag", "run_key"])
+def test_non_finite_run_values_exit_2(tmp_path, capsys, command, key, value, source):
+    base = HESTON_CFG if command == "verify-ode" else THREE_HALVES_FLAT
+    argv = [command]
+    if source == "flag":
+        argv += [f"--{key.replace('_', '-')}", value]
+    else:
+        base += f"run.{key} = {value}\n"
+    if command != "verify-ode":
+        argv += ["--paths", "100", "--steps", "1000"]
+    argv += ["--config", write(tmp_path, "c.cfg", base)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Kummer" not in err
+
+
 def test_default_seed_reproducible(tmp_path):
     cfg = write(tmp_path, "g.cfg", GBM_FLAT)
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

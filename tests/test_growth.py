@@ -29,6 +29,7 @@ from growthopt import (
     laplace_three_halves_finite_t,
 )
 
+from growthopt.growth import _clamp_alpha
 from support import draw_heston, draw_jump, draw_three_halves, draw_utility, draw_vasicek
 
 U = Utility(0.5)
@@ -36,6 +37,10 @@ GBM = GbmParams(mu=0.08, sigma=0.2, r=0.03)
 HESTON = HestonParams(mu=0.08, kappa=2.0, gamma_level=0.04, delta=0.3, rho=-0.5, r=0.03, nu0=0.04)
 THREE_HALVES = ThreeHalvesParams(mu=0.08, kappa=2.0, gamma_level=0.04, delta=0.5, r=0.03, nu0=0.04)
 VASICEK = VasicekParams(mu=0.08, sigma=0.2, kappa=2.0, gamma_level=0.03, delta=0.01, rho=-0.3, r0=0.03)
+JUMP_CONSTANT = JumpDiffusionParams(mu=0.08, sigma=0.2, lambda_j=1.0, jump=ConstantJump(y=0.7), r=0.03)
+JUMP_EXPONENTIAL = JumpDiffusionParams(
+    mu=0.08, sigma=0.2, lambda_j=1.0, jump=ExponentialJump(rate=1.3), r=0.03
+)
 
 
 def test_gbm_values():
@@ -61,12 +66,20 @@ def test_alpha_clamp_and_rejection():
         lambda_gbm(GBM, U, -0.1)
 
 
-@pytest.mark.parametrize("model", [GBM, HESTON, THREE_HALVES, VASICEK])
+@pytest.mark.parametrize(
+    "model", [GBM, HESTON, THREE_HALVES, VASICEK, JUMP_CONSTANT, JUMP_EXPONENTIAL]
+)
 def test_growth_rate_rejects_nan_alpha(model):
     with pytest.raises(OutOfRange):
         growth_rate(model, U, float("nan"))
     with pytest.raises(OutOfRange):
         growth_rate(model, U, np.array([0.0, np.nan, 1.0]))
+
+
+@pytest.mark.parametrize("alpha", [0.25, np.float64(0.25), np.array(0.25)])
+def test_clamp_alpha_returns_python_float_for_scalars(alpha):
+    a = _clamp_alpha(alpha)
+    assert type(a) is float and a == 0.25
 
 
 def test_growth_rate_rejects_unsupported_model():
@@ -221,6 +234,22 @@ def test_jump_constant_one_equals_gbm_bitwise():
     gbm = GbmParams(mu=0.08, sigma=0.2, r=0.03)
     for alpha in np.linspace(0.0, 1.0, 21):
         assert lambda_jump(jd, U, float(alpha)) == lambda_gbm(gbm, U, float(alpha))
+
+
+def test_constant_jump_curve_matches_scalar_rate():
+    # the curve evaluates the constant law in one numpy power, the scalar
+    # rate in Python's; the two may differ in the last bits only
+    rng = np.random.default_rng(16)
+    checked = 0
+    while checked < 50:
+        p = draw_jump(rng)
+        u = draw_utility(rng)
+        if not isinstance(p.jump, ConstantJump):
+            continue
+        curve = growth_curve(p, u, 101)
+        scalar = [float(growth_rate(p, u, float(a))) for a in curve.alphas]
+        assert np.max(np.abs(curve.lambdas - scalar)) <= 1e-14
+        checked += 1
 
 
 def test_jump_bond_only_value_exact():

@@ -105,6 +105,23 @@ def test_riccati_rejects_bad_grid():
         integrate_heston_riccati(HESTON, U, 0.5, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("call", [
+    lambda x: integrate_heston_riccati(HESTON, U, 0.5, x, 1e-2),
+    lambda x: integrate_heston_riccati(HESTON, U, 0.5, 1.0, x),
+    lambda x: integrate_vasicek_ode(VASICEK, U, 0.5, x, 1e-2),
+    lambda x: mc_growth_estimate(GBM, U, 0.5, x, 10, 1, 7),
+    lambda x: mc_laplace_three_halves(THREE_HALVES, 0.1, x, 10, 10, 7),
+    lambda x: mc_laplace_three_halves(THREE_HALVES, x, 1.0, 10, 10, 7),
+    lambda x: laplace_three_halves_finite_t(THREE_HALVES, 0.1, x),
+    lambda x: laplace_three_halves_finite_t(THREE_HALVES, x, 1.0),
+], ids=["riccati_t_end", "riccati_dt", "vasicek_t_end", "mc_t", "laplace_mc_t",
+        "laplace_mc_rate", "laplace_t", "laplace_rate"])
+def test_non_finite_horizon_step_and_rate_rejected(call, bad):
+    with pytest.raises(OutOfRange):
+        call(bad)
+
+
 def test_vasicek_ode_zero_forcing():
     trace = integrate_vasicek_ode(
         VasicekParams(mu=0.08, sigma=0.2, kappa=2.0, gamma_level=0.03, delta=0.01, rho=0.0, r0=0.03),
