@@ -23,7 +23,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import growth, verify
 from .allocate import optimal_allocation
@@ -227,18 +227,9 @@ def _cmd_curve(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _decision_payload(decision) -> dict:
-    return {
-        "alpha_star": decision.alpha_star,
-        "case_label": decision.case_label,
-        "lambda_at_star": decision.lambda_at_star,
-        "alpha_dagger": decision.alpha_dagger,
-    }
-
-
 def _cmd_optimal(args, cfg: RunConfig) -> int:
     decision = optimal_allocation(cfg.model, cfg.utility)
-    _emit(json.dumps(_decision_payload(decision), indent=2) + "\n", _opt(args, cfg, "out", None))
+    _emit(json.dumps(asdict(decision), indent=2) + "\n", _opt(args, cfg, "out", None))
     dagger = "none" if decision.alpha_dagger is None else f"{decision.alpha_dagger:.6g}"
     print(
         f"alpha_star={decision.alpha_star:.6g} case={decision.case_label} "

@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 from scipy import integrate
 
-from .errors import InternalInvariantViolation, OutOfRange, QuadratureFailure
+from .errors import DomainExceeded, InternalInvariantViolation, OutOfRange, QuadratureFailure
 from .params import (
     ConstantJump,
     ExponentialJump,
@@ -96,13 +96,21 @@ class HestonCoefficients:
 def heston_coefficients(p: HestonParams, u: Utility) -> HestonCoefficients:
     """Coefficient bundle for the Heston growth rate.
 
-    Raises InternalInvariantViolation if the positivity identity
-    c1*c3 - c2**2 == kappa^6 gamma^4 (theta - theta^2) / delta^6 fails
-    beyond 1e-12 relative, which would indicate an arithmetic bug.
+    Raises DomainExceeded when kappa^6 or gamma^4 overflows or delta^4 or
+    delta^6 underflows to zero, and InternalInvariantViolation if the positivity
+    identity c1*c3 - c2**2 == kappa^6 gamma^4 (theta - theta^2) / delta^6
+    fails beyond 1e-12 relative, which would indicate an arithmetic bug.
     """
     theta = u.theta
     k, g, d, rho = p.kappa, p.gamma_level, p.delta, p.rho
-    k2g2_d4 = (k * k * g * g) / d**4
+    try:
+        k2g2_d4 = (k * k * g * g) / d**4
+        rhs = k**6 * g**4 * (theta - theta * theta) / d**6
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DomainExceeded(
+            "Heston coefficients leave the float range at "
+            f"kappa={k!r}, gamma_level={g!r}, delta={d!r}"
+        ) from exc
     c0 = k * k * g / (d * d) + theta * p.r
     c1 = k2g2_d4 * (d * d * theta - d * d * theta * theta * (1.0 - rho * rho))
     c2 = d * k * rho * theta * k2g2_d4
@@ -110,7 +118,6 @@ def heston_coefficients(p: HestonParams, u: Utility) -> HestonCoefficients:
     c4 = -theta * rho * k * g / d + theta * (p.mu - p.r)
 
     lhs = c1 * c3 - c2 * c2
-    rhs = k**6 * g**4 * (theta - theta * theta) / d**6
     # the second tolerance term covers the cancellation c1*c3 - c2^2 itself,
     # which exceeds 1e-12 relative when theta -> 1 even for correct arithmetic
     if abs(lhs - rhs) > 1e-12 * abs(rhs) + 32.0 * np.finfo(float).eps * (c1 * c3 + c2 * c2):

@@ -1,7 +1,10 @@
 """Validated parameter records for the five market models.
 
 Every record is an immutable dataclass that checks its own invariants on
-construction, so downstream code never sees an invalid parameter set. The
+construction, so downstream code never sees an invalid parameter set. Each
+float field declares its domain on the field (finite, > 0, [-1, 1] or
+(0, 1)) and one checker, ``_field_violations``, enforces them all; only
+rules beyond one field's domain are written out in ``__post_init__``. The
 symbol gamma conventionally names two unrelated quantities in these models
 (risk aversion and a mean-reversion level); here the level is always called
 ``gamma_level`` and risk preferences enter only through ``Utility``.
@@ -15,6 +18,7 @@ entry plus one entry in each layer's kind-keyed table: ``growth._RATES``,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, Union
@@ -54,25 +58,58 @@ def _raise_violations(violations):
     raise InvalidParameters(messages)
 
 
-def _check_finite(violations, name, value):
-    if not math.isfinite(value):
-        violations.append((OutOfRange, f"{name} must be finite, got {value!r}"))
-        return False
-    return True
+def _domain(test=None, rule=None, label=None):
+    """Declare a float field: finite and, if ``test`` is given, passing it.
+
+    A failure of ``test`` reads "<label> <rule>, got <value>"; the label
+    defaults to the field name.
+    """
+    return field(metadata={"domain": (test, rule, label)})
+
+
+def _positive(label=None):
+    return _domain(lambda x: x > 0.0, "must be > 0", label)
+
+
+def _correlation():
+    return _domain(lambda x: -1.0 <= x <= 1.0, "must lie in [-1, 1]")
+
+
+@functools.cache
+def _domains(cls):
+    """(name, test, rule, label) of each declared float field of ``cls``."""
+    return tuple((f.name, *f.metadata["domain"]) for f in fields(cls) if "domain" in f.metadata)
+
+
+def _field_violations(record) -> dict:
+    """Coerce ``record``'s declared float fields to float and check them.
+
+    Returns {field name: (error class, text)} for the failing fields, in
+    field order.
+    """
+    violations = {}
+    for name, test, rule, label in _domains(type(record)):
+        value = float(getattr(record, name))
+        object.__setattr__(record, name, value)
+        if not math.isfinite(value):
+            violations[name] = (OutOfRange, f"{name} must be finite, got {value!r}")
+        elif test is not None and not test(value):
+            violations[name] = (OutOfRange, f"{label or name} {rule}, got {value}")
+    return violations
+
+
+def _check_fields(record):
+    """``__post_init__`` of a record whose only rules are its field domains."""
+    _raise_violations(_field_violations(record).values())
 
 
 @dataclass(frozen=True)
 class Utility:
     """Power-utility exponent theta = 1 - gamma_rra, strictly inside (0, 1)."""
 
-    theta: float
+    theta: float = _domain(lambda x: 0.0 < x < 1.0, "must lie in (0, 1)")
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", float(self.theta))
-        v = []
-        if _check_finite(v, "theta", self.theta) and not 0.0 < self.theta < 1.0:
-            v.append((OutOfRange, f"theta must lie in (0, 1), got {self.theta}"))
-        _raise_violations(v)
+    __post_init__ = _check_fields
 
     @property
     def gamma_rra(self) -> float:
@@ -92,19 +129,11 @@ def theta_from_gamma(gamma_rra: float) -> Utility:
 class GbmParams:
     """Geometric Brownian motion stock with a constant short rate."""
 
-    mu: float      # stock drift per unit time
-    sigma: float   # stock volatility per sqrt(time), > 0
-    r: float       # short rate per unit time (may be negative)
+    mu: float = _domain()       # stock drift per unit time
+    sigma: float = _positive()  # stock volatility per sqrt(time)
+    r: float = _domain()        # short rate per unit time (may be negative)
 
-    def __post_init__(self):
-        for f in ("mu", "sigma", "r"):
-            object.__setattr__(self, f, float(getattr(self, f)))
-        v = []
-        _check_finite(v, "mu", self.mu)
-        _check_finite(v, "r", self.r)
-        if _check_finite(v, "sigma", self.sigma) and self.sigma <= 0.0:
-            v.append((OutOfRange, f"sigma must be > 0, got {self.sigma}"))
-        _raise_violations(v)
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -115,37 +144,24 @@ class HestonParams:
     variance stays strictly positive.
     """
 
-    mu: float
-    kappa: float        # variance mean-reversion speed, > 0
-    gamma_level: float  # long-run variance level, > 0
-    delta: float        # volatility of variance, > 0
-    rho: float          # correlation between stock and variance drivers
-    r: float
-    nu0: float          # initial variance, > 0
+    mu: float = _domain()
+    kappa: float = _positive()        # variance mean-reversion speed
+    gamma_level: float = _positive()  # long-run variance level
+    delta: float = _positive()        # volatility of variance
+    rho: float = _correlation()       # correlation between stock and variance drivers
+    r: float = _domain()
+    nu0: float = _positive()          # initial variance
 
     def __post_init__(self):
-        for f in ("mu", "kappa", "gamma_level", "delta", "rho", "r", "nu0"):
-            object.__setattr__(self, f, float(getattr(self, f)))
-        v = []
-        _check_finite(v, "mu", self.mu)
-        _check_finite(v, "r", self.r)
-        ok = True
-        for name in ("kappa", "gamma_level", "delta", "nu0"):
-            val = getattr(self, name)
-            if not _check_finite(v, name, val):
-                ok = False
-            elif val <= 0.0:
-                v.append((OutOfRange, f"{name} must be > 0, got {val}"))
-                ok = False
-        if _check_finite(v, "rho", self.rho) and not -1.0 <= self.rho <= 1.0:
-            v.append((OutOfRange, f"rho must lie in [-1, 1], got {self.rho}"))
-        if ok and 2.0 * self.kappa * self.gamma_level <= self.delta**2:
-            v.append((
+        v = _field_violations(self)
+        feller_inputs_ok = v.keys().isdisjoint(("kappa", "gamma_level", "delta", "nu0"))
+        if feller_inputs_ok and 2.0 * self.kappa * self.gamma_level <= self.delta**2:
+            v["feller"] = (
                 FellerViolation,
                 "Feller condition violated: 2*kappa*gamma_level = "
                 f"{2.0 * self.kappa * self.gamma_level} <= delta**2 = {self.delta**2}",
-            ))
-        _raise_violations(v)
+            )
+        _raise_violations(v.values())
 
 
 @dataclass(frozen=True)
@@ -155,38 +171,23 @@ class ThreeHalvesParams:
     Variance follows d(nu) = kappa*nu*(gamma_level - nu) dt + delta*nu^{3/2} dW.
     """
 
-    mu: float
-    kappa: float
-    gamma_level: float
-    delta: float
-    r: float
-    nu0: float
+    mu: float = _domain()
+    kappa: float = _positive()
+    gamma_level: float = _positive()
+    delta: float = _positive()
+    r: float = _domain()
+    nu0: float = _positive()
 
-    def __post_init__(self):
-        for f in ("mu", "kappa", "gamma_level", "delta", "r", "nu0"):
-            object.__setattr__(self, f, float(getattr(self, f)))
-        v = []
-        _check_finite(v, "mu", self.mu)
-        _check_finite(v, "r", self.r)
-        for name in ("kappa", "gamma_level", "delta", "nu0"):
-            val = getattr(self, name)
-            if _check_finite(v, name, val) and val <= 0.0:
-                v.append((OutOfRange, f"{name} must be > 0, got {val}"))
-        _raise_violations(v)
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
 class ConstantJump:
     """Multiplicative jump factor fixed at a single positive value y."""
 
-    y: float
+    y: float = _positive("constant jump y")
 
-    def __post_init__(self):
-        object.__setattr__(self, "y", float(self.y))
-        v = []
-        if _check_finite(v, "y", self.y) and self.y <= 0.0:
-            v.append((OutOfRange, f"constant jump y must be > 0, got {self.y}"))
-        _raise_violations(v)
+    __post_init__ = _check_fields
 
     def mean(self) -> float:
         return self.y
@@ -196,14 +197,9 @@ class ConstantJump:
 class ExponentialJump:
     """Jump factor exponentially distributed on (0, inf) with the given rate."""
 
-    rate: float
+    rate: float = _positive("exponential jump rate")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rate", float(self.rate))
-        v = []
-        if _check_finite(v, "rate", self.rate) and self.rate <= 0.0:
-            v.append((OutOfRange, f"exponential jump rate must be > 0, got {self.rate}"))
-        _raise_violations(v)
+    __post_init__ = _check_fields
 
     def mean(self) -> float:
         return 1.0 / self.rate
@@ -219,16 +215,11 @@ class DensityJump:
     """
 
     density: Callable[[float], float]
-    bound: float
+    bound: float = _positive("truncation bound")
     _mean: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "bound", float(self.bound))
-        v = []
-        if _check_finite(v, "bound", self.bound) and self.bound <= 0.0:
-            v.append((OutOfRange, f"truncation bound must be > 0, got {self.bound}"))
-        _raise_violations(v)
-
+        _check_fields(self)
         grid = [self.bound * (i + 0.5) / 512 for i in range(512)]
         if any(self.density(y) < 0.0 for y in grid):
             raise BadDensity(["jump density takes negative values on (0, bound]"])
@@ -262,53 +253,32 @@ JumpLaw = Union[ConstantJump, ExponentialJump, DensityJump]
 class JumpDiffusionParams:
     """Stock with Brownian diffusion plus compound-Poisson multiplicative jumps."""
 
-    mu: float
-    sigma: float
-    lambda_j: float  # jump intensity per unit time, > 0
+    mu: float = _domain()
+    sigma: float = _positive()
+    lambda_j: float = _positive()  # jump intensity per unit time
     jump: JumpLaw
-    r: float
+    r: float = _domain()
 
     def __post_init__(self):
-        for f in ("mu", "sigma", "lambda_j", "r"):
-            object.__setattr__(self, f, float(getattr(self, f)))
-        v = []
-        _check_finite(v, "mu", self.mu)
-        _check_finite(v, "r", self.r)
-        if _check_finite(v, "sigma", self.sigma) and self.sigma <= 0.0:
-            v.append((OutOfRange, f"sigma must be > 0, got {self.sigma}"))
-        if _check_finite(v, "lambda_j", self.lambda_j) and self.lambda_j <= 0.0:
-            v.append((OutOfRange, f"lambda_j must be > 0, got {self.lambda_j}"))
+        v = _field_violations(self)
         if not isinstance(self.jump, (ConstantJump, ExponentialJump, DensityJump)):
-            v.append((OutOfRange, f"jump must be a jump law, got {type(self.jump).__name__}"))
-        _raise_violations(v)
+            v["jump"] = (OutOfRange, f"jump must be a jump law, got {type(self.jump).__name__}")
+        _raise_violations(v.values())
 
 
 @dataclass(frozen=True)
 class VasicekParams:
     """Black-Scholes stock funded against an Ornstein-Uhlenbeck short rate."""
 
-    mu: float
-    sigma: float        # stock volatility, > 0
-    kappa: float        # rate mean-reversion speed, > 0
-    gamma_level: float  # long-run rate level (any real)
-    delta: float        # rate volatility, > 0
-    rho: float          # stock/rate driver correlation
-    r0: float           # initial short rate
+    mu: float = _domain()
+    sigma: float = _positive()        # stock volatility
+    kappa: float = _positive()        # rate mean-reversion speed
+    gamma_level: float = _domain()    # long-run rate level (any real)
+    delta: float = _positive()        # rate volatility
+    rho: float = _correlation()       # stock/rate driver correlation
+    r0: float = _domain()             # initial short rate
 
-    def __post_init__(self):
-        for f in ("mu", "sigma", "kappa", "gamma_level", "delta", "rho", "r0"):
-            object.__setattr__(self, f, float(getattr(self, f)))
-        v = []
-        _check_finite(v, "mu", self.mu)
-        _check_finite(v, "gamma_level", self.gamma_level)
-        _check_finite(v, "r0", self.r0)
-        for name in ("sigma", "kappa", "delta"):
-            val = getattr(self, name)
-            if _check_finite(v, name, val) and val <= 0.0:
-                v.append((OutOfRange, f"{name} must be > 0, got {val}"))
-        if _check_finite(v, "rho", self.rho) and not -1.0 <= self.rho <= 1.0:
-            v.append((OutOfRange, f"rho must lie in [-1, 1], got {self.rho}"))
-        _raise_violations(v)
+    __post_init__ = _check_fields
 
 
 ModelSpec = Union[

@@ -148,7 +148,7 @@ def integrate_heston_riccati(
     converges to the smaller root; A' = kappa*gamma_level*B, so A(t)/t
     approaches the closed-form slope entering the growth rate.
     """
-    alpha = float(_clamp_alpha(float(alpha)))
+    alpha = _clamp_alpha(float(alpha))
     theta = u.theta
     k, g, d, rho = p.kappa, p.gamma_level, p.delta, p.rho
     q = (theta * theta * alpha * alpha * (1.0 - rho * rho) - theta * alpha * alpha) / 2.0 + (
@@ -176,7 +176,7 @@ def integrate_vasicek_ode(
     B is linear with closed-form solution b_limit + (B(0)-b_limit)e^{-kt};
     A' = kappa*gamma_level*B + delta^2 B^2 / 2.
     """
-    alpha = float(_clamp_alpha(float(alpha)))
+    alpha = _clamp_alpha(float(alpha))
     theta = u.theta
     k, g, d, s, rho = p.kappa, p.gamma_level, p.delta, p.sigma, p.rho
     forcing = theta * (1.0 - alpha) + theta * alpha * s * k * rho / d
@@ -188,21 +188,6 @@ def integrate_vasicek_ode(
         b0=b0, t_end=t_end, dt=dt, b_limit=b_limit,
     )
     return OdeTrace(times, avals, bvals, b_limit, a_slope)
-
-
-def _block_sizes(n_paths: int):
-    sizes = []
-    remaining = n_paths
-    while remaining > 0:
-        take = min(BLOCK_SIZE, remaining)
-        sizes.append(take)
-        remaining -= take
-    return sizes
-
-
-def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(block_index,))
-    return np.random.Generator(np.random.Philox(ss))
 
 
 def _sample_jump_factors(law, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -218,13 +203,13 @@ def _sample_jump_factors(law, rng: np.random.Generator, n: int) -> np.ndarray:
     return np.interp(rng.random(n), cdf, grid)
 
 
-def _log_ratio_gbm(p: GbmParams, u, alpha, t, n_steps, rng, size):
+def _log_ratio_gbm(p: GbmParams, alpha, t, n_steps, rng, size):
     z = rng.standard_normal(size)
     drift = (alpha * p.mu + (1.0 - alpha) * p.r - 0.5 * alpha * alpha * p.sigma**2) * t
     return drift + alpha * p.sigma * math.sqrt(t) * z
 
 
-def _log_ratio_heston(p: HestonParams, u, alpha, t, n_steps, rng, size):
+def _log_ratio_heston(p: HestonParams, alpha, t, n_steps, rng, size):
     dt = t / n_steps
     sq_dt = math.sqrt(dt)
     rho_c = math.sqrt(1.0 - p.rho * p.rho)
@@ -236,7 +221,6 @@ def _log_ratio_heston(p: HestonParams, u, alpha, t, n_steps, rng, size):
         dw = sq_dt * z[0]
         db = p.rho * dw + rho_c * sq_dt * z[1]
         nu_plus = np.maximum(nu, 0.0)
-        assert nu_plus.min() >= 0.0
         sqrt_nu = np.sqrt(nu_plus)
         lr += drift_dt - 0.5 * alpha * alpha * nu_plus * dt + alpha * sqrt_nu * db
         nu = nu + p.kappa * (p.gamma_level - nu_plus) * dt + p.delta * sqrt_nu * dw
@@ -246,12 +230,11 @@ def _log_ratio_heston(p: HestonParams, u, alpha, t, n_steps, rng, size):
 def _recip_cir_step(p: ThreeHalvesParams, x, dt, dw):
     """Full-truncation Euler step of x = 1/nu, which follows a CIR process."""
     x_plus = np.maximum(x, 0.0)
-    assert x_plus.min() >= 0.0
     drift = p.kappa + p.delta * p.delta - p.kappa * p.gamma_level * x_plus
     return x + drift * dt - p.delta * np.sqrt(x_plus) * dw, x_plus
 
 
-def _log_ratio_three_halves(p: ThreeHalvesParams, u, alpha, t, n_steps, rng, size):
+def _log_ratio_three_halves(p: ThreeHalvesParams, alpha, t, n_steps, rng, size):
     dt = t / n_steps
     sq_dt = math.sqrt(dt)
     drift_dt = (alpha * p.mu + (1.0 - alpha) * p.r) * dt
@@ -268,7 +251,7 @@ def _log_ratio_three_halves(p: ThreeHalvesParams, u, alpha, t, n_steps, rng, siz
     return lr
 
 
-def _log_ratio_jump(p: JumpDiffusionParams, u, alpha, t, n_steps, rng, size):
+def _log_ratio_jump(p: JumpDiffusionParams, alpha, t, n_steps, rng, size):
     z = rng.standard_normal(size)
     counts = rng.poisson(p.lambda_j * t, size)
     total = int(counts.sum())
@@ -281,7 +264,7 @@ def _log_ratio_jump(p: JumpDiffusionParams, u, alpha, t, n_steps, rng, size):
     return drift + alpha * p.sigma * math.sqrt(t) * z + per_path
 
 
-def _log_ratio_vasicek(p: VasicekParams, u, alpha, t, n_steps, rng, size):
+def _log_ratio_vasicek(p: VasicekParams, alpha, t, n_steps, rng, size):
     dt = t / n_steps
     sq_dt = math.sqrt(dt)
     rho_c = math.sqrt(1.0 - p.rho * p.rho)
@@ -316,21 +299,39 @@ _SIMULATORS = {
 }
 
 
-def _run_blocks(seed, n_paths, workers, block_fn):
-    sizes = _block_sizes(n_paths)
+def _simulate(block_fn, t, n_paths, n_steps, seed, workers, discretized=False):
+    """Mean and standard error of ``block_fn`` over ``n_paths`` simulated paths.
 
-    def one(idx):
-        return block_fn(_block_rng(seed, idx), sizes[idx])
+    Checks the run shape, then runs ``block_fn(rng, size, t, n_steps)`` on
+    fixed-size blocks of paths, serially or on ``workers`` threads. Block i
+    draws from its own Philox stream keyed by (seed, i) and the blocks are
+    combined in block order, so the result is the same for any ``workers``.
+    A time-stepped (``discretized``) scheme needs n_steps >= 10*t. Returns
+    ``(mean, std_error, run)``, ``run`` holding the coerced horizon_t,
+    n_paths, n_steps and seed.
+    """
+    t, n_paths, n_steps, seed = float(t), int(n_paths), int(n_steps), int(seed)
+    if not (math.isfinite(t) and t > 0.0):
+        raise OutOfRange(f"t must be > 0, got {t}")
+    if n_paths < 1 or n_steps < 1:
+        raise OutOfRange("n_paths and n_steps must be positive")
+    if discretized and n_steps < 10.0 * t:
+        raise OutOfRange(
+            f"discretized models need n_steps >= 10*t, got {n_steps} for t={t}"
+        )
+    sizes = [min(BLOCK_SIZE, n_paths - start) for start in range(0, n_paths, BLOCK_SIZE)]
+
+    def block(i):
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        )
+        return block_fn(rng, sizes[i], t, n_steps)
 
     if workers <= 1 or len(sizes) <= 1:
-        blocks = [one(i) for i in range(len(sizes))]
+        values = np.concatenate([block(i) for i in range(len(sizes))])
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(one, range(len(sizes))))
-    return np.concatenate(blocks)
-
-
-def _check_finite(values, seed):
+            values = np.concatenate(list(pool.map(block, range(len(sizes)))))
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise NonFinitePath(
@@ -338,15 +339,9 @@ def _check_finite(values, seed):
             path_index=int(bad[0]),
             seed=seed,
         )
-
-
-def _mean_and_se(values):
-    m = float(np.mean(values))
-    if values.size > 1:
-        var = float(np.var(values, ddof=1))
-    else:
-        var = 0.0
-    return m, math.sqrt(var / values.size)
+    var = float(np.var(values, ddof=1)) if values.size > 1 else 0.0
+    run = dict(horizon_t=t, n_paths=n_paths, n_steps=n_steps, seed=seed)
+    return float(np.mean(values)), math.sqrt(var / values.size), run
 
 
 def mc_growth_estimate(
@@ -370,41 +365,21 @@ def mc_growth_estimate(
 
     Identical arguments give a bit-identical estimate for any ``workers``.
     """
-    alpha = float(_clamp_alpha(float(alpha)))
-    t = float(t)
-    n_paths = int(n_paths)
-    n_steps = int(n_steps)
-    seed = int(seed)
-    if not (math.isfinite(t) and t > 0.0):
-        raise OutOfRange(f"t must be > 0, got {t}")
-    if n_paths < 1 or n_steps < 1:
-        raise OutOfRange("n_paths and n_steps must be positive")
+    alpha = _clamp_alpha(float(alpha))
     sim, discretized, random_bond = _SIMULATORS[kind_of(model)]
-    if discretized and n_steps < 10.0 * t:
-        raise OutOfRange(
-            f"discretized models need n_steps >= 10*t, got {n_steps} for t={t}"
-        )
 
-    def block_fn(rng, size):
-        lr = sim(model, u, alpha, t, n_steps, rng, size)
+    def block_fn(rng, size, t, n_steps):
+        lr = sim(model, alpha, t, n_steps, rng, size)
         with np.errstate(over="ignore"):  # overflow surfaces as NonFinitePath
             return np.exp(u.theta * lr)
 
-    powers = _run_blocks(seed, n_paths, workers, block_fn)
-    _check_finite(powers, seed)
-    m, se_m = _mean_and_se(powers)
+    m, se_m, run = _simulate(block_fn, t, n_paths, n_steps, seed, workers, discretized)
     if se_m == 0.0 and not (alpha == 0.0 and not random_bond):
         raise DegenerateVariance(
             "all simulated paths are identical; check the RNG configuration"
         )
-    return SimEstimate(
-        lambda_hat=math.log(m) / t,
-        std_error=se_m / (m * t),
-        horizon_t=t,
-        n_paths=n_paths,
-        n_steps=n_steps,
-        seed=seed,
-    )
+    t = run["horizon_t"]  # as coerced to float
+    return SimEstimate(lambda_hat=math.log(m) / t, std_error=se_m / (m * t), **run)
 
 
 def mc_laplace_three_halves(
@@ -418,21 +393,12 @@ def mc_laplace_three_halves(
 ) -> LaplaceEstimate:
     """Monte Carlo mean of exp(-lambda_l * integral of nu over [0, t])."""
     lambda_l = float(lambda_l)
-    t = float(t)
-    n_paths = int(n_paths)
-    n_steps = int(n_steps)
-    seed = int(seed)
     if not (math.isfinite(lambda_l) and lambda_l >= 0.0):
         raise OutOfRange(f"lambda_l must be >= 0, got {lambda_l}")
-    if not (math.isfinite(t) and t > 0.0):
-        raise OutOfRange(f"t must be > 0, got {t}")
-    if n_paths < 1 or n_steps < 1:
-        raise OutOfRange("n_paths and n_steps must be positive")
 
-    dt = t / n_steps
-    sq_dt = math.sqrt(dt)
-
-    def block_fn(rng, size):
+    def block_fn(rng, size, t, n_steps):
+        dt = t / n_steps
+        sq_dt = math.sqrt(dt)
         x = np.full(size, 1.0 / p.nu0)
         nu_cur = np.full(size, p.nu0)
         integral = np.zeros(size)
@@ -445,14 +411,5 @@ def mc_laplace_three_halves(
             nu_cur = nu_next
         return np.exp(-lambda_l * integral)
 
-    values = _run_blocks(seed, n_paths, workers, block_fn)
-    _check_finite(values, seed)
-    m, se_m = _mean_and_se(values)
-    return LaplaceEstimate(
-        mean=m,
-        std_error=se_m,
-        horizon_t=t,
-        n_paths=n_paths,
-        n_steps=n_steps,
-        seed=seed,
-    )
+    m, se_m, run = _simulate(block_fn, t, n_paths, n_steps, seed, workers)
+    return LaplaceEstimate(mean=m, std_error=se_m, **run)

@@ -300,6 +300,21 @@ def test_non_finite_run_values_exit_2(tmp_path, capsys, command, key, value, sou
     assert err.startswith("error: ") and "Kummer" not in err
 
 
+@pytest.mark.parametrize("command, change", [
+    ("optimal", ("model.kappa = 2.0", "model.kappa = 1e52")),
+    ("optimal", ("model.delta = 0.3", "model.delta = 1e-60")),
+    ("verify-mc", ("model.kappa = 2.0\nmodel.gamma_level = 0.04",
+                   "model.kappa = 1e308\nmodel.gamma_level = 10.0")),
+], ids=["optimal-kappa", "optimal-delta", "verify-mc-nan-variance"])
+def test_heston_out_of_float_range_exits_2(tmp_path, capsys, command, change):
+    cfg = write(tmp_path, "h.cfg", HESTON_CFG.replace(*change))
+    argv = [command, "--config", cfg]
+    if command == "verify-mc":
+        argv += ["--t", "1", "--paths", "100", "--steps", "10"]
+    assert run(argv) == 2
+    assert "error: " in capsys.readouterr().err
+
+
 def test_default_seed_reproducible(tmp_path):
     cfg = write(tmp_path, "g.cfg", GBM_FLAT)
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from growthopt import (
     lambda_three_halves,
     lambda_vasicek,
     laplace_three_halves_finite_t,
+    optimal_allocation,
 )
 
 from growthopt.growth import _clamp_alpha
@@ -104,6 +106,16 @@ def test_heston_coefficient_identity_random():
         lhs = c.c1 * c.c3 - c.c2**2
         rhs = p.kappa**6 * p.gamma_level**4 * (u.theta - u.theta**2) / p.delta**6
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("change", [dict(kappa=1e52), dict(delta=1e-60), dict(delta=1e-200)],
+                         ids=["kappa=1e52", "delta=1e-60", "delta=1e-200"])
+def test_heston_closed_form_out_of_float_range_raises_domain_exceeded(change):
+    p = replace(HESTON, **change)
+    for call in (lambda: growth_rate(p, U, 0.5), lambda: growth_curve(p, U, 5),
+                 lambda: optimal_allocation(p, U)):
+        with pytest.raises(DomainExceeded, match="Heston coefficients"):
+            call()
 
 
 def test_heston_bond_only_value_exact():

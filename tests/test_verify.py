@@ -185,10 +185,21 @@ def test_mc_requires_enough_steps_for_discretized_models():
 
 def test_mc_nonfinite_path_reports_index_and_seed():
     huge = GbmParams(mu=1e306, sigma=0.2, r=0.03)
-    with pytest.raises(NonFinitePath) as exc:
-        mc_growth_estimate(huge, U, 1.0, 20.0, 64, 1, seed=9)
-    assert exc.value.path_index == 0
-    assert exc.value.seed == 9
+    # kappa*gamma_level overflows, so the variance paths turn NaN
+    heston = HestonParams(mu=0.08, kappa=1e308, gamma_level=10.0, delta=0.3, rho=-0.5,
+                          r=0.03, nu0=0.04)
+    three_halves = ThreeHalvesParams(mu=0.08, kappa=1e308, gamma_level=10.0, delta=0.3,
+                                     r=0.03, nu0=0.04)
+    for call in (
+        lambda: mc_growth_estimate(huge, U, 1.0, 20.0, 64, 1, seed=9),
+        lambda: mc_growth_estimate(heston, U, 0.5, 1.0, 100, 10, seed=9),
+        lambda: mc_growth_estimate(three_halves, U, 0.5, 1.0, 100, 10, seed=9),
+        lambda: mc_laplace_three_halves(three_halves, 0.1, 1.0, 100, 10, seed=9),
+    ):
+        with pytest.raises(NonFinitePath) as exc:
+            call()
+        assert exc.value.path_index == 0
+        assert exc.value.seed == 9
 
 
 def test_mc_jump_matches_closed_form():
