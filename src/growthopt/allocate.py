@@ -173,8 +173,9 @@ def _jump_slope(p: JumpDiffusionParams, u: Utility, alpha: float) -> float:
 def optimal_jump(p: JumpDiffusionParams, u: Utility) -> AllocationDecision:
     """Root of the strictly decreasing slope, found by bisection.
 
-    Bisection is preferred to Newton because the slope itself needs
-    quadrature for non-constant laws.
+    The slope is closed form for constant and exponential laws but comes
+    from quadrature for density laws; bisection needs only its sign, so it
+    is preferred to Newton, whose steps would amplify quadrature error.
     """
     theta = u.theta
     slope0 = theta * (p.mu - p.r) + p.lambda_j * theta * (p.jump.mean() - 1.0)

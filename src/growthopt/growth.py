@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainExceeded, InternalInvariantViolation, OutOfRange, QuadratureFailure
 from .params import (
@@ -55,6 +54,12 @@ ALPHA_SLACK = 1e-9
 
 DENSITY_QUAD_ABS_TOL = 1e-9
 DENSITY_QUAD_LIMIT = 10_000
+
+# Above this x = rate*(1/alpha - 1) the exponential-law slope is summed from
+# its asymptotic series, whose smallest term (near k = x) is below 1e-16 of
+# the sum from here on; below it the incomplete-gamma closed form, whose two
+# terms grow like x and cancel, stays within 1e-12 absolute of mpmath.
+SLOPE_SERIES_MIN_X = 40.0
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -190,12 +195,44 @@ def _exponential_moment(rate: float, theta: float, alpha: float) -> float:
     return (alpha / rate) ** theta * scaled.value
 
 
-def _density_quad(f, lo, hi, abs_tol, limit=DENSITY_QUAD_LIMIT, fail_tol=None):
+def _exponential_slope(rate: float, theta: float, alpha: float) -> float:
+    """E[(alpha*(Y-1)+1)^(theta-1) * (Y-1)] for Y ~ Exponential(rate), alpha in (0, 1].
+
+    With x = rate*(1/alpha - 1) and G(s, x) = e^x Gamma(s, x) the moment is
+    (alpha/rate)^(theta-1)/rate * [x^theta - (x + rate - theta) G(theta, x)].
+    Both bracketed terms grow like x and cancel, so for x >= SLOPE_SERIES_MIN_X
+    the bracket is expanded instead (DLMF 8.11.2):
+    (1-alpha)^(theta-1)/rate * sum_k u_k (1 + k - rate) x^-k with
+    u_k = (theta-1)(theta-2)...(theta-k).
+    """
+    x = rate * (1.0 / alpha - 1.0)
+    if x < SLOPE_SERIES_MIN_X:
+        g = upper_incomplete_gamma_scaled(theta, x).value
+        return (alpha / rate) ** (theta - 1.0) / rate * (x**theta - (x + rate - theta) * g)
+    total = 1.0 - rate
+    u = 1.0  # u_k x^-k
+    k = 1
+    # |theta - k| / x < 1 keeps the terms shrinking; stop at the smallest one.
+    while k < x + theta:
+        u *= (theta - k) / x
+        total += u * (1.0 + k - rate)
+        # bound |term| by a factor that cannot vanish at rate = 1 + k
+        if abs(u) * (1.0 + k + rate) <= 1e-17 * abs(total):
+            break
+        k += 1
+    return (1.0 - alpha) ** (theta - 1.0) / rate * total
+
+
+def _density_quad(f, lo, hi, abs_tol, fail_tol=None):
+    from scipy import integrate  # deferred: only density laws need quadrature
+
     if fail_tol is None:
         fail_tol = 10.0 * abs_tol
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        value, err = integrate.quad(f, lo, hi, epsabs=abs_tol, epsrel=0.0, limit=limit)
+        value, err = integrate.quad(
+            f, lo, hi, epsabs=abs_tol, epsrel=0.0, limit=DENSITY_QUAD_LIMIT
+        )
     if err > fail_tol + 1e-13 * abs(value):
         raise QuadratureFailure(
             f"quadrature error estimate {err!r} exceeds tolerance {fail_tol!r}"
@@ -229,9 +266,9 @@ def jump_utility_moment(law: JumpLaw, u: Utility, alpha: float) -> float:
 def jump_derivative_moment(law: JumpLaw, u: Utility, alpha: float) -> float:
     """E[(alpha*(Y-1)+1)^(theta-1) * (Y-1)], the jump term of the slope.
 
-    Closed form for constant jumps; quadrature for exponential and density
-    laws (differentiating the incomplete-gamma identity would compound
-    error in the root finder).
+    Closed forms for constant and exponential jumps (the latter through a
+    scaled upper incomplete gamma, or its asymptotic series at small alpha);
+    density laws are integrated adaptively.
     """
     a = _clamp_alpha(float(alpha))
     theta = u.theta
@@ -240,18 +277,7 @@ def jump_derivative_moment(law: JumpLaw, u: Utility, alpha: float) -> float:
     if a == 0.0:
         return law.mean() - 1.0
     if isinstance(law, ExponentialJump):
-        rate = law.rate
-        return _density_quad(
-            lambda y: (a * y + 1.0 - a) ** (theta - 1.0)
-            * (y - 1.0)
-            * rate
-            * math.exp(-rate * y),
-            0.0,
-            np.inf,
-            1e-11,
-            limit=500,
-            fail_tol=1e-7,
-        )
+        return _exponential_slope(law.rate, theta, a)
     return _density_quad(
         lambda y: (a * y + 1.0 - a) ** (theta - 1.0) * (y - 1.0) * law.density(y),
         0.0,
@@ -306,8 +332,24 @@ _RATES = {
 
 
 def growth_rate(model: ModelSpec, u: Utility, alpha: ArrayLike) -> ArrayLike:
-    """Dispatch to the closed-form growth rate of the given model."""
-    return _RATES[kind_of(model)](model, u, alpha)
+    """Dispatch to the closed-form growth rate of the given model.
+
+    Raises DomainExceeded when a rate is not finite, which happens only when
+    the parameters overflow the float range inside a closed form.
+    """
+    kind = kind_of(model)
+    if isinstance(alpha, float):
+        value = _RATES[kind](model, u, alpha)
+        finite = math.isfinite(value)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = _RATES[kind](model, u, alpha)
+        finite = np.isfinite(value).all()
+    if not finite:
+        raise DomainExceeded(
+            f"{kind} growth rate is not finite: the parameters overflow the float range"
+        )
+    return value
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, Union
 
-from scipy import integrate
-
 from .errors import BadDensity, FellerViolation, InvalidParameters, OutOfRange
 
 __all__ = [
@@ -219,6 +217,8 @@ class DensityJump:
     _mean: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        from scipy import integrate  # deferred: only density laws need quadrature
+
         _check_fields(self)
         grid = [self.bound * (i + 0.5) / 512 for i in range(512)]
         if any(self.density(y) < 0.0 for y in grid):

@@ -325,7 +325,10 @@ def _simulate(block_fn, t, n_paths, n_steps, seed, workers, discretized=False):
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         )
-        return block_fn(rng, sizes[i], t, n_steps)
+        # numpy's error state is per thread, so it is set here in the worker;
+        # overflow and NaN surface below as NonFinitePath, not as warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return block_fn(rng, sizes[i], t, n_steps)
 
     if workers <= 1 or len(sizes) <= 1:
         values = np.concatenate([block(i) for i in range(len(sizes))])
@@ -369,9 +372,7 @@ def mc_growth_estimate(
     sim, discretized, random_bond = _SIMULATORS[kind_of(model)]
 
     def block_fn(rng, size, t, n_steps):
-        lr = sim(model, alpha, t, n_steps, rng, size)
-        with np.errstate(over="ignore"):  # overflow surfaces as NonFinitePath
-            return np.exp(u.theta * lr)
+        return np.exp(u.theta * sim(model, alpha, t, n_steps, rng, size))
 
     m, se_m, run = _simulate(block_fn, t, n_paths, n_steps, seed, workers, discretized)
     if se_m == 0.0 and not (alpha == 0.0 and not random_bond):

@@ -92,3 +92,29 @@ DRAWERS = {
     "jump": draw_jump,
     "vasicek": draw_vasicek,
 }
+
+
+# The *_REF parameters of test_acceptance.py, as config files.
+REFERENCE_CONFIGS = {
+    "gbm": "model.kind = gbm\nmodel.mu = 0.08\nmodel.sigma = 0.2\nmodel.r = 0.03\n",
+    "heston": (
+        "model.kind = heston\nmodel.mu = 0.08\nmodel.kappa = 2.0\n"
+        "model.gamma_level = 0.04\nmodel.delta = 0.3\nmodel.rho = -0.5\n"
+        "model.r = 0.03\nmodel.nu0 = 0.04\n"
+    ),
+    "three_halves": (
+        "model.kind = three_halves\nmodel.mu = 0.08\nmodel.kappa = 2.0\n"
+        "model.gamma_level = 0.04\nmodel.delta = 0.5\nmodel.r = 0.03\n"
+        "model.nu0 = 0.04\n"
+    ),
+    "jump": (
+        "model.kind = jump\nmodel.mu = 0.08\nmodel.sigma = 0.2\n"
+        "model.lambda_j = 1.0\nmodel.jump_kind = exponential\n"
+        "model.jump_rate = 2.0\nmodel.r = 0.03\n"
+    ),
+    "vasicek": (
+        "model.kind = vasicek\nmodel.mu = 0.08\nmodel.sigma = 0.2\n"
+        "model.kappa = 2.0\nmodel.gamma_level = 0.03\nmodel.delta = 0.01\n"
+        "model.rho = -0.3\nmodel.r0 = 0.03\n"
+    ),
+}

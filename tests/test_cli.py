@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,6 +317,28 @@ def test_heston_out_of_float_range_exits_2(tmp_path, capsys, command, change):
         argv += ["--t", "1", "--paths", "100", "--steps", "10"]
     assert run(argv) == 2
     assert "error: " in capsys.readouterr().err
+
+
+OVERFLOW = ("model.kappa = 2.0\nmodel.gamma_level = 0.04",
+            "model.kappa = 1e308\nmodel.gamma_level = 10.0")
+
+
+@pytest.mark.parametrize("base, argv, message", [
+    (HESTON_CFG, ["verify-mc", "--t", "1", "--paths", "100", "--steps", "10"],
+     "error: path 0 produced a non-finite value (seed=24301)\n"),
+    (THREE_HALVES_FLAT, ["curve", "--points", "11"],
+     "error: three_halves growth rate is not finite: "
+     "the parameters overflow the float range\n"),
+], ids=["verify-mc-heston", "curve-three-halves"])
+def test_overflowing_model_prints_only_the_error_line(tmp_path, base, argv, message):
+    # A fresh process, because pytest would capture numpy's RuntimeWarnings.
+    cfg = write(tmp_path, "o.cfg", base.replace(*OVERFLOW))
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "growthopt.cli", argv[0], "--config", cfg, *argv[1:]],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
 
 
 def test_default_seed_reproducible(tmp_path):

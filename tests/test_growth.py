@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -31,7 +32,7 @@ from growthopt import (
     optimal_allocation,
 )
 
-from growthopt.growth import _clamp_alpha
+from growthopt.growth import SLOPE_SERIES_MIN_X, _clamp_alpha
 from support import draw_heston, draw_jump, draw_three_halves, draw_utility, draw_vasicek
 
 U = Utility(0.5)
@@ -87,6 +88,17 @@ def test_clamp_alpha_returns_python_float_for_scalars(alpha):
 def test_growth_rate_rejects_unsupported_model():
     with pytest.raises(OutOfRange, match="unsupported model type"):
         growth_rate(object(), U, 0.5)
+
+
+def test_growth_rate_raises_domain_exceeded_when_not_finite():
+    # kappa * gamma_level overflows, so the 3/2 rate is inf / inf.
+    model = replace(THREE_HALVES, kappa=1e308, gamma_level=10.0)
+    with pytest.raises(DomainExceeded, match="three_halves growth rate is not finite"):
+        growth_rate(model, U, 0.5)
+    with pytest.raises(DomainExceeded, match="three_halves growth rate is not finite"):
+        growth_rate(model, U, np.linspace(0.0, 1.0, 5))
+    with pytest.raises(DomainExceeded):
+        growth_curve(model, U, 11)
 
 
 def test_heston_coefficients_examples():
@@ -239,6 +251,38 @@ def test_jump_derivative_moment_exponential_matches_finite_difference():
         ) / (2 * h)
         # d/da E[(a(Y-1)+1)^theta] = theta E[(a(Y-1)+1)^(theta-1) (Y-1)]
         assert U.theta * jump_derivative_moment(law, U, alpha) == pytest.approx(fd, rel=1e-5)
+
+
+def _exponential_slope_reference(rate, theta, alpha):
+    """E[(alpha*(Y-1)+1)^(theta-1) (Y-1)] at 60 digits, as (E[w^theta] - E[w^(theta-1)])/alpha.
+
+    With w = alpha*Y + 1 - alpha and x = rate*(1/alpha - 1),
+    E[w^s] = (alpha/rate)^s e^x Gamma(s+1, x) (DLMF 8.2.2).
+    """
+    with mpmath.workdps(60):
+        rate, theta, alpha = mpmath.mpf(rate), mpmath.mpf(theta), mpmath.mpf(alpha)
+        if alpha == 0:
+            return float(1 / rate - 1)
+        x = rate * (1 / alpha - 1)
+
+        def moment(s):
+            return (alpha / rate) ** s * mpmath.exp(x) * mpmath.gammainc(s + 1, x)
+
+        return float((moment(theta) - moment(theta - 1)) / alpha)
+
+
+@pytest.mark.parametrize("theta", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("rate", [0.05, 0.5, 2.0, 5.0, 50.0])
+def test_jump_derivative_moment_exponential_matches_mpmath(rate, theta):
+    # x = rate*(1/alpha - 1) crosses the series switch between these alphas
+    switch = rate / (SLOPE_SERIES_MIN_X + rate)
+    alphas = [0.0, 1e-12, 1e-8, 1e-4, 1e-2, 0.5, 1.0,
+              rate / (SLOPE_SERIES_MIN_X + 1.0 + rate), rate / (SLOPE_SERIES_MIN_X - 1.0 + rate),
+              math.nextafter(switch, 0.0), switch, math.nextafter(switch, 1.0)]
+    u = Utility(theta)
+    for alpha in alphas:
+        value = jump_derivative_moment(ExponentialJump(rate=rate), u, alpha)
+        assert abs(value - _exponential_slope_reference(rate, theta, alpha)) <= 1e-12, alpha
 
 
 def test_jump_constant_one_equals_gbm_bitwise():
