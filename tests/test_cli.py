@@ -326,10 +326,14 @@ OVERFLOW = ("model.kappa = 2.0\nmodel.gamma_level = 0.04",
 @pytest.mark.parametrize("base, argv, message", [
     (HESTON_CFG, ["verify-mc", "--t", "1", "--paths", "100", "--steps", "10"],
      "error: path 0 produced a non-finite value (seed=24301)\n"),
+    # two blocks on two threads: numpy's error state is per thread
+    (HESTON_CFG, ["verify-mc", "--t", "1", "--paths", "20000", "--steps", "10",
+                  "--workers", "2"],
+     "error: path 0 produced a non-finite value (seed=24301)\n"),
     (THREE_HALVES_FLAT, ["curve", "--points", "11"],
      "error: three_halves growth rate is not finite: "
      "the parameters overflow the float range\n"),
-], ids=["verify-mc-heston", "curve-three-halves"])
+], ids=["verify-mc-heston", "verify-mc-heston-workers2", "curve-three-halves"])
 def test_overflowing_model_prints_only_the_error_line(tmp_path, base, argv, message):
     # A fresh process, because pytest would capture numpy's RuntimeWarnings.
     cfg = write(tmp_path, "o.cfg", base.replace(*OVERFLOW))
