@@ -16,7 +16,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InternalInvariantViolation, OutOfRange
-from .growth import growth_rate, heston_coefficients, jump_derivative_moment
+from .growth import (
+    _float_range_error,
+    _three_halves_constants,
+    growth_rate,
+    heston_coefficients,
+    jump_derivative_moment,
+)
 from .params import (
     GbmParams,
     HestonParams,
@@ -137,21 +143,27 @@ def optimal_heston(p: HestonParams, u: Utility) -> AllocationDecision:
 
 
 def optimal_three_halves(p: ThreeHalvesParams, u: Utility) -> AllocationDecision:
+    """Bond-only / stock-only / interior split of the 3/2 growth rate.
+
+    Raises DomainExceeded when kappa*gamma_level, its square or
+    kappa/delta^2 overflows.
+    """
     theta = u.theta
+    _, c, kg = _three_halves_constants(p)
     excess = p.mu - p.r
     if excess <= 0.0:
         return _decide(p, u, 0.0, CASE_BOND_ONLY)
-    kg = p.kappa * p.gamma_level
     var_term = theta - theta * theta
     if theta * excess - kg / p.delta * math.sqrt(var_term) >= 0.0:
         return _decide(p, u, 1.0, CASE_STOCK_ONLY)
     radicand = kg * kg * var_term - theta * theta * excess * excess * p.delta * p.delta
+    if radicand == math.inf:
+        raise _float_range_error("3/2 coefficients", p)
     if radicand <= 0.0:
         raise InternalInvariantViolation(
             "interior branch entered with nonpositive radicand "
             f"{radicand!r}; branch dispatch is inconsistent"
         )
-    c = 0.5 + p.kappa / (p.delta * p.delta)
     dagger = (
         theta * excess * p.delta * p.delta * c
         / (math.sqrt(radicand) * math.sqrt(var_term))

@@ -79,6 +79,38 @@ def _clamp_alpha(alpha: ArrayLike) -> ArrayLike:
     return np.clip(a, 0.0, 1.0)
 
 
+def _sqrt(x: ArrayLike) -> ArrayLike:
+    """Square root that keeps a Python float a Python float.
+
+    Scalar rates stay in Python arithmetic, which is faster than numpy's
+    scalar types and never warns; a negative or NaN radicand gives NaN, as
+    np.sqrt does, so ``growth_rate`` reports it as DomainExceeded.
+    """
+    if isinstance(x, float):
+        return math.sqrt(x) if x >= 0.0 else math.nan
+    return np.sqrt(x)
+
+
+def _float_range_error(what: str, p, names=("kappa", "gamma_level", "delta")) -> DomainExceeded:
+    """DomainExceeded naming the parameters of ``p`` that ``what`` is built from."""
+    values = ", ".join(f"{name}={getattr(p, name)!r}" for name in names)
+    return DomainExceeded(f"{what} leave the float range at {values}")
+
+
+def _three_halves_constants(p: ThreeHalvesParams):
+    """(delta^2, c = 1/2 + kappa/delta^2, kappa*gamma_level) of the 3/2 model.
+
+    Raises DomainExceeded when delta^2 underflows or c or kappa*gamma_level
+    overflows.
+    """
+    d2 = p.delta * p.delta
+    kg = p.kappa * p.gamma_level
+    c = 0.5 + p.kappa / d2 if d2 > 0.0 else math.inf
+    if not (math.isfinite(c) and math.isfinite(kg)):
+        raise _float_range_error("3/2 coefficients", p)
+    return d2, c, kg
+
+
 def _diffusion_growth(mu, r, sigma, theta, alpha):
     """Growth-rate contribution of a Brownian stock plus constant rate."""
     return theta * (alpha * mu + (1.0 - alpha) * r) + 0.5 * (
@@ -101,8 +133,8 @@ class HestonCoefficients:
 def heston_coefficients(p: HestonParams, u: Utility) -> HestonCoefficients:
     """Coefficient bundle for the Heston growth rate.
 
-    Raises DomainExceeded when kappa^6 or gamma^4 overflows or delta^4 or
-    delta^6 underflows to zero, and InternalInvariantViolation if the positivity
+    Raises DomainExceeded when kappa^6 or gamma^4 overflows or delta^4,
+    delta^6 or c3 underflows to zero, and InternalInvariantViolation if the positivity
     identity c1*c3 - c2**2 == kappa^6 gamma^4 (theta - theta^2) / delta^6
     fails beyond 1e-12 relative, which would indicate an arithmetic bug.
     """
@@ -112,14 +144,14 @@ def heston_coefficients(p: HestonParams, u: Utility) -> HestonCoefficients:
         k2g2_d4 = (k * k * g * g) / d**4
         rhs = k**6 * g**4 * (theta - theta * theta) / d**6
     except (OverflowError, ZeroDivisionError) as exc:
-        raise DomainExceeded(
-            "Heston coefficients leave the float range at "
-            f"kappa={k!r}, gamma_level={g!r}, delta={d!r}"
-        ) from exc
+        raise _float_range_error("Heston coefficients", p) from exc
+    c3 = k2g2_d4 * (k * k)
+    if c3 == 0.0:
+        # the rate would divide 0 by 0
+        raise _float_range_error("Heston coefficients", p)
     c0 = k * k * g / (d * d) + theta * p.r
     c1 = k2g2_d4 * (d * d * theta - d * d * theta * theta * (1.0 - rho * rho))
     c2 = d * k * rho * theta * k2g2_d4
-    c3 = k2g2_d4 * (k * k)
     c4 = -theta * rho * k * g / d + theta * (p.mu - p.r)
 
     lhs = c1 * c3 - c2 * c2
@@ -145,7 +177,7 @@ def lambda_heston(p: HestonParams, u: Utility, alpha: ArrayLike) -> ArrayLike:
     s = p.kappa * p.kappa * p.gamma_level / (p.delta * p.delta)
     num = c.c1 * a * a - 2.0 * c.c2 * a
     rad = num + c.c3
-    return u.theta * p.r + c.c4 * a - num / (np.sqrt(rad) + s)
+    return u.theta * p.r + c.c4 * a - num / (_sqrt(rad) + s)
 
 
 def lambda_three_halves(p: ThreeHalvesParams, u: Utility, alpha: ArrayLike) -> ArrayLike:
@@ -155,7 +187,7 @@ def lambda_three_halves(p: ThreeHalvesParams, u: Utility, alpha: ArrayLike) -> A
     c = 0.5 + p.kappa / (p.delta * p.delta)
     q = a * a * (theta - theta * theta) / (p.delta * p.delta)
     kg = p.kappa * p.gamma_level
-    return theta * (a * p.mu + (1.0 - a) * p.r) - kg * q / (np.sqrt(c * c + q) + c)
+    return theta * (a * p.mu + (1.0 - a) * p.r) - kg * q / (_sqrt(c * c + q) + c)
 
 
 def laplace_three_halves_finite_t(
@@ -166,7 +198,8 @@ def laplace_three_halves_finite_t(
     Evaluates E[exp(-lambda_l * integral of nu over [0, t])] through the
     Kummer-function closed form. The gamma prefactor and the power of the
     shrinking argument are combined in log space so the expression stays
-    finite for any horizon.
+    finite for any horizon. Raises DomainExceeded when the model's constants
+    leave the float range.
     """
     lambda_l = float(lambda_l)
     t = float(t)
@@ -174,12 +207,12 @@ def laplace_three_halves_finite_t(
         raise OutOfRange(f"lambda_l must be > 0, got {lambda_l}")
     if not (math.isfinite(t) and t > 0.0):
         raise OutOfRange(f"t must be > 0, got {t}")
-    d2 = p.delta * p.delta
-    c = 0.5 + p.kappa / d2
+    d2, c, kg = _three_halves_constants(p)
     root = math.sqrt(c * c + 2.0 * lambda_l / d2)
+    if root == math.inf:
+        raise _float_range_error("3/2 coefficients", p)
     a = (2.0 * lambda_l / d2) / (root + c)
     b = 1.0 + 2.0 * root
-    kg = p.kappa * p.gamma_level
     # log of 2*kappa*gamma / (delta^2 nu0 (e^{kg t} - 1)), stable for large t
     log_z = math.log(2.0 * kg / (d2 * p.nu0)) - (kg * t + math.log1p(-math.exp(-kg * t)))
     z = math.exp(log_z)
@@ -334,17 +367,21 @@ _RATES = {
 def growth_rate(model: ModelSpec, u: Utility, alpha: ArrayLike) -> ArrayLike:
     """Dispatch to the closed-form growth rate of the given model.
 
-    Raises DomainExceeded when a rate is not finite, which happens only when
-    the parameters overflow the float range inside a closed form.
+    Raises DomainExceeded when a rate is not finite or a scalar rate divides
+    by zero, which happens only when the parameters leave the float range
+    inside a closed form.
     """
     kind = kind_of(model)
-    if isinstance(alpha, float):
-        value = _RATES[kind](model, u, alpha)
-        finite = math.isfinite(value)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
+    try:
+        if isinstance(alpha, float):
             value = _RATES[kind](model, u, alpha)
-        finite = np.isfinite(value).all()
+            finite = math.isfinite(value)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = _RATES[kind](model, u, alpha)
+            finite = np.isfinite(value).all()
+    except ZeroDivisionError:  # a Python-float divisor underflowed to zero
+        finite = False
     if not finite:
         raise DomainExceeded(
             f"{kind} growth rate is not finite: the parameters overflow the float range"

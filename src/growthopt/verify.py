@@ -26,7 +26,7 @@ from .errors import (
     OutOfRange,
     StepSizeTooLarge,
 )
-from .growth import _clamp_alpha
+from .growth import _clamp_alpha, _float_range_error
 from .params import (
     ConstantJump,
     ExponentialJump,
@@ -97,6 +97,17 @@ def _rk4_quadratic_trace(qa, qb, qc, pa, pb, b0, t_end, dt, b_limit):
 
     A step that moves B by more than half its remaining distance to the
     limit signals an unstable step size and raises.
+
+    The system is autonomous, so one RK4 step is a fixed map b -> Phi_h(b).
+    Once a step returns B bit for bit (sign of zero included; -0.0 == 0.0
+    would not do), B is a floating-point fixed point of that map and every
+    later step repeats this one exactly: B stays put, the step-size check
+    holds trivially, and A grows by the same increment da. The loop then
+    stops and fills the tail: B with the fixed value, A with a cumulative
+    sum of da, which numpy accumulates left to right and so rounds exactly
+    as repeated ``a += da`` would. The trace is the same to the last bit as
+    when every step is taken. Without an exact fixed point (short horizons,
+    a cycle, NaN) every step is taken.
     """
     t_end = float(t_end)
     dt = float(dt)
@@ -104,10 +115,9 @@ def _rk4_quadratic_trace(qa, qb, qc, pa, pb, b0, t_end, dt, b_limit):
         raise OutOfRange(f"need 0 < dt <= t_end, got dt={dt}, t_end={t_end}")
     n = max(1, int(round(t_end / dt)))
     h = t_end / n
-    times = np.empty(n + 1)
+    times = np.arange(n + 1) * h
     avals = np.empty(n + 1)
     bvals = np.empty(n + 1)
-    times[0] = 0.0
     avals[0] = 0.0
     bvals[0] = b0
     a = 0.0
@@ -126,17 +136,40 @@ def _rk4_quadratic_trace(qa, qb, qc, pa, pb, b0, t_end, dt, b_limit):
         l3 = b3 * (pb + pa * b3)
         l4 = b4 * (pb + pa * b4)
         b_new = b + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        a += h6 * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+        da = h6 * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
         if abs(b_new - b) > 0.5 * abs(b - b_limit) + 1e-12:
             raise StepSizeTooLarge(
                 f"dt={h} moved B from {b!r} to {b_new!r} against limit "
                 f"{b_limit!r}; decrease the step size"
             )
+        if b_new == b and math.copysign(1.0, b_new) == math.copysign(1.0, b):
+            bvals[i:] = b
+            tail = np.full(n + 2 - i, da)
+            tail[0] = a
+            np.cumsum(tail, out=avals[i - 1:])
+            break
+        a += da
         b = b_new
-        times[i] = i * h
         avals[i] = a
         bvals[i] = b
     return times, avals, bvals
+
+
+def _checked_trace(p, model, names, b_limit, a_slope, t_end, dt, **coeffs):
+    """Run ``_rk4_quadratic_trace`` on finite inputs to a finite end point.
+
+    Raises DomainExceeded, naming the parameters ``names`` of ``p``, when a
+    coefficient, the closed-form limits or the end of the trace is not
+    finite: the ODE oracle then has nothing finite to check.
+    """
+    if not all(map(math.isfinite, (b_limit, a_slope, *coeffs.values()))):
+        raise _float_range_error(f"{model} ODE values", p, names)
+    times, avals, bvals = _rk4_quadratic_trace(
+        **coeffs, t_end=t_end, dt=dt, b_limit=b_limit
+    )
+    if not (math.isfinite(avals[-1]) and math.isfinite(bvals[-1])):
+        raise _float_range_error(f"{model} ODE values", p, names)
+    return OdeTrace(times, avals, bvals, b_limit, a_slope)
 
 
 def integrate_heston_riccati(
@@ -146,26 +179,30 @@ def integrate_heston_riccati(
 
     B solves the Riccati equation B' = -kappa*B + delta^2 B^2 / 2 + q and
     converges to the smaller root; A' = kappa*gamma_level*B, so A(t)/t
-    approaches the closed-form slope entering the growth rate.
+    approaches the closed-form slope entering the growth rate. Raises
+    DomainExceeded when the system leaves the float range.
     """
     alpha = _clamp_alpha(float(alpha))
     theta = u.theta
     k, g, d, rho = p.kappa, p.gamma_level, p.delta, p.rho
+    names = ("kappa", "gamma_level", "delta")
     q = (theta * theta * alpha * alpha * (1.0 - rho * rho) - theta * alpha * alpha) / 2.0 + (
         k * alpha * rho * theta / d
     )
-    disc = (k - d * theta * alpha * rho) ** 2 + d * d * alpha * alpha * (
-        theta - theta * theta
-    )
-    sqrt_disc = math.sqrt(disc)
-    b_limit = (k - sqrt_disc) / (d * d)
+    try:
+        disc = (k - d * theta * alpha * rho) ** 2 + d * d * alpha * alpha * (
+            theta - theta * theta
+        )
+        sqrt_disc = math.sqrt(disc)
+        b_limit = (k - sqrt_disc) / (d * d)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _float_range_error("Heston ODE values", p, names) from exc
     a_slope = k * k * g / (d * d) - (k * g / (d * d)) * sqrt_disc
     b0 = theta * alpha * rho / d
-    times, avals, bvals = _rk4_quadratic_trace(
-        qa=0.5 * d * d, qb=-k, qc=q, pa=0.0, pb=k * g,
-        b0=b0, t_end=t_end, dt=dt, b_limit=b_limit,
+    return _checked_trace(
+        p, "Heston", names, b_limit, a_slope, t_end, dt,
+        qa=0.5 * d * d, qb=-k, qc=q, pa=0.0, pb=k * g, b0=b0,
     )
-    return OdeTrace(times, avals, bvals, b_limit, a_slope)
 
 
 def integrate_vasicek_ode(
@@ -174,7 +211,8 @@ def integrate_vasicek_ode(
     """Integrate the OU-rate exponent system.
 
     B is linear with closed-form solution b_limit + (B(0)-b_limit)e^{-kt};
-    A' = kappa*gamma_level*B + delta^2 B^2 / 2.
+    A' = kappa*gamma_level*B + delta^2 B^2 / 2. Raises DomainExceeded when
+    the system leaves the float range.
     """
     alpha = _clamp_alpha(float(alpha))
     theta = u.theta
@@ -183,11 +221,10 @@ def integrate_vasicek_ode(
     b_limit = theta * (1.0 - alpha) / k + theta * alpha * s * rho / d
     a_slope = k * g * b_limit + 0.5 * d * d * b_limit * b_limit
     b0 = theta * alpha * s * rho / d
-    times, avals, bvals = _rk4_quadratic_trace(
-        qa=0.0, qb=-k, qc=forcing, pa=0.5 * d * d, pb=k * g,
-        b0=b0, t_end=t_end, dt=dt, b_limit=b_limit,
+    return _checked_trace(
+        p, "Vasicek", ("kappa", "gamma_level", "delta", "sigma"), b_limit, a_slope, t_end, dt,
+        qa=0.0, qb=-k, qc=forcing, pa=0.5 * d * d, pb=k * g, b0=b0,
     )
-    return OdeTrace(times, avals, bvals, b_limit, a_slope)
 
 
 def _sample_jump_factors(law, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from growthopt import allocate
 from growthopt import (
     ConstantJump,
+    DomainExceeded,
     ExponentialJump,
     GbmParams,
     HestonParams,
@@ -86,6 +89,22 @@ def test_three_halves_cases():
         ThreeHalvesParams(mu=0.035, kappa=2.0, gamma_level=0.04, delta=0.5, r=0.03, nu0=0.04), U
     )
     assert inner.case_label in ("Interior", "ClampedToOne")
+
+
+@pytest.mark.parametrize("change", [
+    dict(kappa=1e308, gamma_level=10.0),  # kappa*gamma_level overflows
+    dict(kappa=1e200),                    # its square overflows
+    dict(delta=1e-200),                   # delta^2 underflows
+    dict(mu=0.03, kappa=1e308, gamma_level=10.0),  # bond-only branch
+], ids=["kappa-gamma", "kappa-gamma-squared", "delta-squared", "bond-only"])
+def test_three_halves_out_of_float_range_names_parameters(change):
+    p = replace(ThreeHalvesParams(mu=0.08, kappa=2.0, gamma_level=0.04, delta=0.5, r=0.03,
+                                  nu0=0.04), **change)
+    named = f"kappa={p.kappa!r}, gamma_level={p.gamma_level!r}, delta={p.delta!r}"
+    for call in (optimal_three_halves, optimal_allocation):
+        with pytest.raises(DomainExceeded, match="3/2 coefficients leave the float range") as exc:
+            call(p, U)
+        assert str(exc.value).endswith(named)
 
 
 def test_three_halves_interior_matches_numeric():

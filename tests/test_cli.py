@@ -345,6 +345,42 @@ def test_overflowing_model_prints_only_the_error_line(tmp_path, base, argv, mess
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
 
 
+VASICEK_FLAT = (
+    "model.kind = vasicek\nmodel.mu = 0.08\nmodel.sigma = 0.2\n"
+    "model.kappa = 2.0\nmodel.gamma_level = 0.03\nmodel.delta = 0.01\n"
+    "model.rho = -0.3\nmodel.r0 = 0.03\nutility.theta = 0.5\n"
+)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("base, change, argv, message", [
+    (HESTON_CFG, ("model.kappa = 2.0", "model.kappa = 1e200"), ["verify-ode"],
+     "Heston ODE values leave the float range at kappa=1e+200, gamma_level=0.04, delta=0.3"),
+    (HESTON_CFG, ("model.delta = 0.3", "model.delta = 1e-200"), ["verify-ode"],
+     "Heston ODE values leave the float range at kappa=2.0, gamma_level=0.04, delta=1e-200"),
+    (VASICEK_FLAT, ("model.kappa = 2.0", "model.kappa = 1e300"), ["verify-ode"],
+     "Vasicek ODE values leave the float range at kappa=1e+300, gamma_level=0.03, "
+     "delta=0.01, sigma=0.2"),
+    (VASICEK_FLAT, ("model.delta = 0.01", "model.delta = 1e300"), ["verify-ode"],
+     "Vasicek ODE values leave the float range at kappa=2.0, gamma_level=0.03, "
+     "delta=1e+300, sigma=0.2"),
+    (VASICEK_FLAT, ("model.kappa = 2.0", "model.kappa = 1e-300"), ["verify-ode"],
+     "Vasicek ODE values leave the float range at kappa=1e-300, gamma_level=0.03, "
+     "delta=0.01, sigma=0.2"),
+    (THREE_HALVES_FLAT, OVERFLOW, ["optimal"],
+     "3/2 coefficients leave the float range at kappa=1e+308, gamma_level=10.0, delta=0.5"),
+    (THREE_HALVES_FLAT, OVERFLOW, ["transform-3-2", "--paths", "100", "--steps", "100"],
+     "3/2 coefficients leave the float range at kappa=1e+308, gamma_level=10.0, delta=0.5"),
+], ids=["ode-heston-kappa", "ode-heston-delta", "ode-vasicek-kappa", "ode-vasicek-delta",
+        "ode-vasicek-small-kappa", "optimal-three-halves", "transform-three-halves"])
+def test_out_of_float_range_exits_2_naming_parameters(tmp_path, capsys, base, change, argv,
+                                                       message):
+    cfg = write(tmp_path, "f.cfg", base.replace(*change))
+    assert run([argv[0], "--config", cfg, *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
 def test_default_seed_reproducible(tmp_path):
     cfg = write(tmp_path, "g.cfg", GBM_FLAT)
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -33,7 +33,14 @@ from growthopt import (
 )
 
 from growthopt.growth import SLOPE_SERIES_MIN_X, _clamp_alpha
-from support import draw_heston, draw_jump, draw_three_halves, draw_utility, draw_vasicek
+from support import (
+    DRAWERS,
+    draw_heston,
+    draw_jump,
+    draw_three_halves,
+    draw_utility,
+    draw_vasicek,
+)
 
 U = Utility(0.5)
 GBM = GbmParams(mu=0.08, sigma=0.2, r=0.03)
@@ -90,6 +97,7 @@ def test_growth_rate_rejects_unsupported_model():
         growth_rate(object(), U, 0.5)
 
 
+@pytest.mark.filterwarnings("error")
 def test_growth_rate_raises_domain_exceeded_when_not_finite():
     # kappa * gamma_level overflows, so the 3/2 rate is inf / inf.
     model = replace(THREE_HALVES, kappa=1e308, gamma_level=10.0)
@@ -120,14 +128,53 @@ def test_heston_coefficient_identity_random():
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-@pytest.mark.parametrize("change", [dict(kappa=1e52), dict(delta=1e-60), dict(delta=1e-200)],
-                         ids=["kappa=1e52", "delta=1e-60", "delta=1e-200"])
+@pytest.mark.parametrize("change", [dict(kappa=1e52), dict(delta=1e-60), dict(delta=1e-200),
+                                    dict(kappa=1e-163, gamma_level=1e76, delta=1e-44)],
+                         ids=["kappa=1e52", "delta=1e-60", "delta=1e-200", "c3-underflows"])
 def test_heston_closed_form_out_of_float_range_raises_domain_exceeded(change):
     p = replace(HESTON, **change)
     for call in (lambda: growth_rate(p, U, 0.5), lambda: growth_curve(p, U, 5),
                  lambda: optimal_allocation(p, U)):
         with pytest.raises(DomainExceeded, match="Heston coefficients"):
             call()
+
+
+@pytest.mark.filterwarnings("error")
+def test_growth_rate_negative_radicand_raises_domain_exceeded():
+    # theta one ulp below 1 and kappa = delta*theta*alpha*rho: the Heston
+    # radicand is 0 in exact arithmetic and rounds to a negative number.
+    p = HestonParams(mu=0.08, kappa=0.2710032349404143, gamma_level=1.6299714419948765,
+                     delta=0.5843289818973504, rho=1.0, r=0.03, nu0=0.04)
+    with pytest.raises(DomainExceeded, match="heston growth rate is not finite"):
+        growth_rate(p, Utility(0.9999999999999999), 0.46378537319927376)
+
+
+@pytest.mark.filterwarnings("error")
+def test_growth_rate_divisor_underflow_raises_domain_exceeded():
+    # delta^2 underflows to 0, so kappa / delta^2 divides by zero.
+    with pytest.raises(DomainExceeded, match="three_halves growth rate is not finite"):
+        growth_rate(replace(THREE_HALVES, delta=1e-200), U, 0.5)
+
+
+@pytest.mark.parametrize("kind", ["heston", "three_halves"])
+def test_scalar_rate_is_a_python_float_with_the_array_bits(kind):
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        model, u = DRAWERS[kind](rng), draw_utility(rng)
+        alphas = rng.uniform(0.0, 1.0, 8)
+        curve = growth_rate(model, u, alphas)
+        for a, want in zip(alphas.tolist(), curve.tolist()):
+            got = growth_rate(model, u, a)
+            assert type(got) is float
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+            assert got == want
+
+
+def test_laplace_three_halves_out_of_float_range_names_parameters():
+    p = replace(THREE_HALVES, kappa=1e308, gamma_level=10.0)
+    with pytest.raises(DomainExceeded, match=r"3/2 coefficients leave the float range at "
+                       r"kappa=1e\+308, gamma_level=10.0, delta=0.5"):
+        laplace_three_halves_finite_t(p, 0.0625, 1.0)
 
 
 def test_heston_bond_only_value_exact():

@@ -1,9 +1,14 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from growthopt import verify
 from growthopt import (
     ConstantJump,
     DegenerateVariance,
+    DomainExceeded,
     ExponentialJump,
     GbmParams,
     HestonParams,
@@ -22,6 +27,8 @@ from growthopt import (
     mc_growth_estimate,
     mc_laplace_three_halves,
 )
+
+from support import draw_heston, draw_utility, draw_vasicek
 
 U = Utility(0.5)
 HESTON = HestonParams(mu=0.08, kappa=2.0, gamma_level=0.04, delta=0.3, rho=-0.5, r=0.03, nu0=0.04)
@@ -239,3 +246,147 @@ def test_mc_laplace_deterministic_across_workers():
         for w in (1, 4)
     ]
     assert runs[0] == runs[1]
+
+
+def _stepwise_rk4_trace(qa, qb, qc, pa, pb, b0, t_end, dt, b_limit):
+    """The RK4 loop that takes every step: the reference for the early exit."""
+    n = max(1, int(round(float(t_end) / float(dt))))
+    h = float(t_end) / n
+    times, avals, bvals = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
+    times[0] = avals[0] = 0.0
+    bvals[0] = b0
+    a, b, h6 = 0.0, b0, h / 6.0
+    for i in range(1, n + 1):
+        k1 = qc + b * (qb + qa * b)
+        b2 = b + 0.5 * h * k1
+        k2 = qc + b2 * (qb + qa * b2)
+        b3 = b + 0.5 * h * k2
+        k3 = qc + b3 * (qb + qa * b3)
+        b4 = b + h * k3
+        k4 = qc + b4 * (qb + qa * b4)
+        l1 = b * (pb + pa * b)
+        l2 = b2 * (pb + pa * b2)
+        l3 = b3 * (pb + pa * b3)
+        l4 = b4 * (pb + pa * b4)
+        b_new = b + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        a += h6 * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+        if abs(b_new - b) > 0.5 * abs(b - b_limit) + 1e-12:
+            raise StepSizeTooLarge(
+                f"dt={h} moved B from {b!r} to {b_new!r} against limit "
+                f"{b_limit!r}; decrease the step size"
+            )
+        b = b_new
+        times[i] = i * h
+        avals[i] = a
+        bvals[i] = b
+    return times, avals, bvals
+
+
+def _trace_and_reference(monkeypatch, integrate, *args):
+    """(times, A, B) of the integrator and of the stepwise loop on the same
+    system; a StepSizeTooLarge is returned as its message."""
+    systems = []
+    real = verify._rk4_quadratic_trace
+
+    def spy(**system):
+        systems.append(system)
+        return real(**system)
+
+    monkeypatch.setattr(verify, "_rk4_quadratic_trace", spy)
+    try:
+        trace = integrate(*args)
+        got = (trace.times, trace.a_values, trace.b_values)
+    except StepSizeTooLarge as exc:
+        got = str(exc)
+    finally:
+        monkeypatch.undo()
+    (system,) = systems
+    try:
+        want = _stepwise_rk4_trace(**system)
+    except StepSizeTooLarge as exc:
+        want = str(exc)
+    return got, want
+
+
+def _assert_same_bits(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    for x, y in zip(got, want):
+        assert x.shape == y.shape
+        assert np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def _fixed_point_step(b_values):
+    """First step that returns B bit for bit, or None."""
+    bits = b_values.view(np.int64)
+    same = np.flatnonzero(bits[1:] == bits[:-1])
+    return int(same[0]) + 1 if same.size else None
+
+
+@pytest.mark.parametrize("integrate, model, step", [
+    (integrate_heston_riccati, HESTON, 13_554),
+    (integrate_vasicek_ode, VASICEK, 14_164),
+], ids=["heston", "vasicek"])
+def test_rk4_fixed_point_exit_at_reference_config(monkeypatch, integrate, model, step):
+    got, want = _trace_and_reference(monkeypatch, integrate, model, U, 0.5, 100.0, 1e-3)
+    _assert_same_bits(got, want)
+    assert _fixed_point_step(want[2]) == step
+
+
+# (t_end, dt) pairs: long runs reach B's fixed point, short ones end before it
+# and coarse ones can trip the step-size check.
+RK4_GRIDS = [(100.0, 1e-3), (500.0, 1e-2), (200.0, 1e-3), (10.0, 1e-3),
+             (20.0, 1e-2), (2.0, 0.25), (10.0, 1.0), (1.0, 0.5)]
+
+
+@pytest.mark.parametrize("t_end, dt", RK4_GRIDS, ids=[f"{t:g}-{dt:g}" for t, dt in RK4_GRIDS])
+def test_rk4_trace_bit_identical_to_stepwise_loop(monkeypatch, t_end, dt):
+    rng = np.random.default_rng(int(t_end / dt))
+    draws = min(8, max(1, 100_000 // round(t_end / dt)))
+    for integrate, draw in ((integrate_heston_riccati, draw_heston),
+                            (integrate_vasicek_ode, draw_vasicek)):
+        for j in range(draws):
+            p, u = draw(rng), draw_utility(rng)
+            p = replace(p, rho=(p.rho, -p.rho, 0.0)[j % 3])
+            alpha = (rng.uniform(), 0.0, 1e-300, 1.0)[j % 4]
+            got, want = _trace_and_reference(monkeypatch, integrate, p, u, alpha, t_end, dt)
+            _assert_same_bits(got, want)
+
+
+def test_rk4_trace_without_fixed_point_bit_identical(monkeypatch):
+    got, want = _trace_and_reference(monkeypatch, integrate_heston_riccati, HESTON, U, 0.5, 2.0, 0.25)
+    _assert_same_bits(got, want)
+    assert _fixed_point_step(want[2]) is None
+
+
+def test_rk4_trace_keeps_the_sign_of_zero(monkeypatch):
+    # At alpha = 0 with rho < 0, B starts at -0.0 and the first step gives
+    # +0.0: equal under ==, but not yet the fixed point.
+    got, want = _trace_and_reference(monkeypatch, integrate_heston_riccati, HESTON, U, 0.0, 5.0, 1e-3)
+    _assert_same_bits(got, want)
+    assert math.copysign(1.0, want[2][0]) == -1.0
+    assert np.all(np.copysign(1.0, want[2][1:]) == 1.0)
+
+
+def test_rk4_step_size_error_identical_to_stepwise_loop(monkeypatch):
+    fast = replace(HESTON, kappa=5.0)
+    got, want = _trace_and_reference(monkeypatch, integrate_heston_riccati, fast, U, 0.5, 10.0, 1.0)
+    assert isinstance(want, str) and "decrease the step size" in want
+    assert got == want
+
+
+@pytest.mark.parametrize("integrate, model, change", [
+    (integrate_heston_riccati, HESTON, dict(kappa=1e200)),
+    (integrate_heston_riccati, HESTON, dict(delta=1e-200)),
+    (integrate_vasicek_ode, VASICEK, dict(kappa=1e300)),
+    (integrate_vasicek_ode, VASICEK, dict(delta=1e300)),
+    (integrate_vasicek_ode, VASICEK, dict(kappa=1e-300)),
+], ids=["heston-kappa=1e200", "heston-delta=1e-200", "vasicek-kappa=1e300",
+        "vasicek-delta=1e300", "vasicek-kappa=1e-300"])
+def test_ode_out_of_float_range_raises_domain_exceeded(integrate, model, change):
+    p = replace(model, **change)
+    (name, value), = change.items()
+    with pytest.raises(DomainExceeded, match="ODE values leave the float range at ") as exc:
+        integrate(p, U, 0.5, 100.0, 1e-3)
+    assert f"{name}={value!r}" in str(exc.value)
