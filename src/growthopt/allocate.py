@@ -2,9 +2,9 @@
 
 Each ``optimal_*`` function implements the exact case analysis for its
 model; ``numeric_argmax`` is an independent maximizer used to cross-check
-every closed form. It runs golden section on a certified-concave objective;
-otherwise it first brackets the best point of a fixed 1,025-point grid, so
-its cost does not depend on the objective.
+every closed form. It runs golden section around the best point of one
+64-point grid, a bracket that holds for unimodal or convex rates; concavity
+itself is checked by acceptance 03.
 """
 
 from __future__ import annotations
@@ -69,8 +69,6 @@ _CASES = {
 
 # Golden-section interval shrink tolerance.
 GOLDEN_TOL = 1e-10
-# Intervals of the fallback grid used when concavity is not certified.
-DENSE_GRID_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -262,8 +260,6 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
     """Golden-section maximizer for a unimodal f on [lo, hi]."""
     h = hi - lo
-    if h <= tol:
-        return 0.5 * (lo + hi)
     n = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
     c = lo + _INV_PHI2 * h
     d = lo + _INV_PHI * h
@@ -286,26 +282,13 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -
 def numeric_argmax(model: ModelSpec, u: Utility) -> float:
     """Maximizer of the growth rate on [0, 1], independent of case analyses.
 
-    A 64-point probe certifies concavity via second differences, and golden
-    section then runs on [0, 1]. If the probe fails (possible only for the
-    quadratic rate of the OU-funded model, or a flat objective), the best
-    point of a 1,025-point grid and its two neighbours bracket the golden
-    section instead. Either way the work is bounded: at most 64 + 1,025
-    grid points plus about 50 golden-section evaluations.
+    Golden section runs between the neighbours of the best point of one
+    64-point grid, the first on ties (the bond, for a convex rate with equal
+    ends). That bracket holds the maximizer of a unimodal or convex rate;
+    acceptance 03 checks concavity. Work: one array and <= 43 scalar calls.
     """
-
-    def f(a: float) -> float:
-        return float(growth_rate(model, u, a))
-
-    probe = np.linspace(0.0, 1.0, 64)
-    values = np.asarray(growth_rate(model, u, probe), dtype=float)
-    second = values[2:] - 2.0 * values[1:-1] + values[:-2]
-    if np.all(second < 0.0):
-        return _golden_max(f, 0.0, 1.0, GOLDEN_TOL)
-
-    grid = np.linspace(0.0, 1.0, DENSE_GRID_POINTS + 1)
-    dense = np.asarray(growth_rate(model, u, grid), dtype=float)
-    best = int(np.argmax(dense))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, DENSE_GRID_POINTS)]
-    return _golden_max(f, lo, hi, GOLDEN_TOL)
+    grid = np.linspace(0.0, 1.0, 64)
+    best = int(np.argmax(growth_rate(model, u, grid)))
+    lo = float(grid[max(best - 1, 0)])
+    hi = float(grid[min(best + 1, grid.size - 1)])
+    return _golden_max(lambda a: float(growth_rate(model, u, a)), lo, hi, GOLDEN_TOL)

@@ -213,8 +213,15 @@ def laplace_three_halves_finite_t(
         raise _float_range_error("3/2 coefficients", p)
     a = (2.0 * lambda_l / d2) / (root + c)
     b = 1.0 + 2.0 * root
-    # log of 2*kappa*gamma / (delta^2 nu0 (e^{kg t} - 1)), stable for large t
-    log_z = math.log(2.0 * kg / (d2 * p.nu0)) - (kg * t + math.log1p(-math.exp(-kg * t)))
+    x = kg * t
+    # log of 2*kappa*gamma / (delta^2 nu0 (e^{kg t} - 1)), stable for large t;
+    # log(1 - e^-x) takes the expm1 form for small x (Maechler, 2012)
+    try:
+        log1mexp = math.log(-math.expm1(-x)) if x < 0.08 else math.log1p(-math.exp(-x))
+        log_z = math.log(2.0 * kg / (d2 * p.nu0)) - (x + log1mexp)
+    except (ValueError, ZeroDivisionError) as exc:  # a constant underflowed to 0
+        names = ("kappa", "gamma_level", "delta", "nu0")
+        raise _float_range_error(f"3/2 transform constants at t={t!r}", p, names) from exc
     z = math.exp(log_z)
     m = kummer_m(a, b, -z)
     log_front = log_gamma(b - a) - log_gamma(b) + a * log_z

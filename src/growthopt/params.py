@@ -152,13 +152,17 @@ class HestonParams:
 
     def __post_init__(self):
         v = _field_violations(self)
-        feller_inputs_ok = v.keys().isdisjoint(("kappa", "gamma_level", "delta", "nu0"))
-        if feller_inputs_ok and 2.0 * self.kappa * self.gamma_level <= self.delta**2:
-            v["feller"] = (
-                FellerViolation,
-                "Feller condition violated: 2*kappa*gamma_level = "
-                f"{2.0 * self.kappa * self.gamma_level} <= delta**2 = {self.delta**2}",
-            )
+        if v.keys().isdisjoint(("kappa", "gamma_level", "delta", "nu0")):
+            try:
+                delta_sq = self.delta**2
+            except OverflowError:  # delta above about 1.3e154 violates Feller
+                delta_sq = math.inf
+            if 2.0 * self.kappa * self.gamma_level <= delta_sq:
+                v["feller"] = (
+                    FellerViolation,
+                    "Feller condition violated: 2*kappa*gamma_level = "
+                    f"{2.0 * self.kappa * self.gamma_level} <= delta**2 = {delta_sq}",
+                )
         _raise_violations(v.values())
 
 

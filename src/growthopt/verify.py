@@ -113,7 +113,10 @@ def _rk4_quadratic_trace(qa, qb, qc, pa, pb, b0, t_end, dt, b_limit):
     dt = float(dt)
     if not (math.isfinite(t_end) and 0.0 < dt <= t_end):
         raise OutOfRange(f"need 0 < dt <= t_end, got dt={dt}, t_end={t_end}")
-    n = max(1, int(round(t_end / dt)))
+    steps = t_end / dt
+    if steps > 10_000_000.5:  # round(steps) > 1e7, 240 MB of trace; round(inf) raises
+        raise OutOfRange(f"t_end/dt = {steps:.6g} exceeds the limit of 10,000,000 RK4 steps")
+    n = max(1, int(round(steps)))
     h = t_end / n
     times = np.arange(n + 1) * h
     avals = np.empty(n + 1)

@@ -155,8 +155,7 @@ def test_vasicek_convex_boundaries():
     assert lo.case_label == hi.case_label == "ConvexBoundary"
     assert lo.alpha_star == 0.0
     assert hi.alpha_star == 1.0
-    # the numeric maximizer agrees through its grid fallback even though the
-    # rate is convex
+    # the numeric maximizer agrees even though the rate is convex
     assert abs(hi.alpha_star - numeric_argmax(VasicekParams(mu=0.30, **base), U)) <= 1e-6
 
 
@@ -168,21 +167,29 @@ def test_vasicek_concave_degeneration_matches_gbm():
 
 
 def test_numeric_argmax_fallback_work_is_bounded(monkeypatch):
-    # mu == r and a unit jump leave a numerically flat objective: the
-    # concavity probe fails and the grid fallback runs
-    p = JumpDiffusionParams(mu=0.03, sigma=1e-9, lambda_j=1.0, jump=ConstantJump(y=1.0), r=0.03)
-    sizes = []
+    # mu == r and a unit jump leave a numerically flat objective; the
+    # reference Heston rate is concave and the Vasicek rate below is convex
+    # (it peaks at alpha = 1). Each costs one 64-point array call and at
+    # most 43 scalar calls.
+    models = [
+        JumpDiffusionParams(mu=0.03, sigma=1e-9, lambda_j=1.0, jump=ConstantJump(y=1.0), r=0.03),
+        HestonParams(mu=0.08, kappa=2.0, gamma_level=0.04, delta=0.3, rho=-0.5, r=0.03, nu0=0.04),
+        VasicekParams(mu=0.30, sigma=0.02, kappa=0.5, gamma_level=0.03, delta=0.2, rho=0.0, r0=0.03),
+    ]
+    for p in models:
+        sizes = []
 
-    def counting_rate(model, u, alpha):
-        sizes.append(np.size(alpha))
-        return growth_rate(model, u, alpha)
+        def counting_rate(model, u, alpha):
+            sizes.append(np.size(alpha))
+            return growth_rate(model, u, alpha)
 
-    monkeypatch.setattr(allocate, "growth_rate", counting_rate)
-    numeric = numeric_argmax(p, U)
-    monkeypatch.undo()
-    assert max(sizes) == allocate.DENSE_GRID_POINTS + 1 <= 1025
-    best = optimal_allocation(p, U)
-    assert float(growth_rate(p, U, best.alpha_star)) - float(growth_rate(p, U, numeric)) <= 1e-10
+        monkeypatch.setattr(allocate, "growth_rate", counting_rate)
+        numeric = numeric_argmax(p, U)
+        monkeypatch.undo()
+        assert max(sizes) == 64, p
+        assert len(sizes) <= 44, p
+        best = optimal_allocation(p, U)
+        assert float(growth_rate(p, U, best.alpha_star)) - float(growth_rate(p, U, numeric)) <= 1e-10
 
 
 @pytest.mark.parametrize("name", sorted(DRAWERS))

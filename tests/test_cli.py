@@ -371,8 +371,18 @@ VASICEK_FLAT = (
      "3/2 coefficients leave the float range at kappa=1e+308, gamma_level=10.0, delta=0.5"),
     (THREE_HALVES_FLAT, OVERFLOW, ["transform-3-2", "--paths", "100", "--steps", "100"],
      "3/2 coefficients leave the float range at kappa=1e+308, gamma_level=10.0, delta=0.5"),
+    (HESTON_CFG, ("model.delta = 0.3", "model.delta = 1e200"), ["optimal"],
+     "Feller condition violated: 2*kappa*gamma_level = 0.16 <= delta**2 = inf"),
+    (HESTON_CFG, ("", ""), ["verify-ode", "--t-end", "1", "--dt", "1e-300"],
+     "t_end/dt = 1e+300 exceeds the limit of 10,000,000 RK4 steps"),
+    (THREE_HALVES_FLAT, ("model.kappa = 2.0\nmodel.gamma_level = 0.04",
+                         "model.kappa = 1e-200\nmodel.gamma_level = 1e-200"),
+     ["transform-3-2", "--paths", "100", "--steps", "100"],
+     "3/2 transform constants at t=1.0 leave the float range at kappa=1e-200, "
+     "gamma_level=1e-200, delta=0.5, nu0=0.04"),
 ], ids=["ode-heston-kappa", "ode-heston-delta", "ode-vasicek-kappa", "ode-vasicek-delta",
-        "ode-vasicek-small-kappa", "optimal-three-halves", "transform-three-halves"])
+        "ode-vasicek-small-kappa", "optimal-three-halves", "transform-three-halves",
+        "optimal-heston-feller-overflow", "ode-step-cap", "transform-three-halves-underflow"])
 def test_out_of_float_range_exits_2_naming_parameters(tmp_path, capsys, base, change, argv,
                                                        message):
     cfg = write(tmp_path, "f.cfg", base.replace(*change))

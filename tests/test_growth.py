@@ -177,6 +177,38 @@ def test_laplace_three_halves_out_of_float_range_names_parameters():
         laplace_three_halves_finite_t(p, 0.0625, 1.0)
 
 
+def _laplace_three_halves_reference(p, lambda_l, t):
+    """The Kummer closed form of the 3/2 transform at 60 digits (DLMF 13.2.2)."""
+    with mpmath.workdps(60):
+        k, g, d, nu0 = map(mpmath.mpf, (p.kappa, p.gamma_level, p.delta, p.nu0))
+        lambda_l, t = mpmath.mpf(lambda_l), mpmath.mpf(t)
+        d2 = d * d
+        c = mpmath.mpf(0.5) + k / d2
+        root = mpmath.sqrt(c * c + 2 * lambda_l / d2)
+        a = (2 * lambda_l / d2) / (root + c)
+        b = 1 + 2 * root
+        z = 2 * k * g / (d2 * nu0 * mpmath.expm1(k * g * t))
+        return float(mpmath.gamma(b - a) / mpmath.gamma(b) * z**a * mpmath.hyp1f1(a, b, -z))
+
+
+@pytest.mark.parametrize("kg_t", [1e-3, 1e-9, 1e-18])
+def test_laplace_three_halves_small_kappa_gamma_t_matches_mpmath(kg_t):
+    p = replace(THREE_HALVES, kappa=1.0, gamma_level=kg_t)
+    value = laplace_three_halves_finite_t(p, 0.125, 1.0)
+    assert value == pytest.approx(_laplace_three_halves_reference(p, 0.125, 1.0), rel=1e-13)
+
+
+@pytest.mark.parametrize("change", [
+    dict(kappa=1e-200, gamma_level=1e-200),
+    dict(kappa=1e-150, gamma_level=1e-150, delta=1e100, nu0=1e100),
+], ids=["kappa-gamma-underflow", "delta-nu0-underflow"])
+def test_laplace_three_halves_underflow_names_parameters(change):
+    p = replace(THREE_HALVES, **change)
+    with pytest.raises(DomainExceeded, match=r"3/2 transform constants at t=1.0 leave the "
+                       r"float range at kappa=.*gamma_level=.*delta=.*nu0="):
+        laplace_three_halves_finite_t(p, 0.0625, 1.0)
+
+
 def test_heston_bond_only_value_exact():
     rng = np.random.default_rng(12)
     for _ in range(200):

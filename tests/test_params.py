@@ -210,6 +210,9 @@ COMBINED = [
      {"kappa must be > 0, got -1.0", "rho must lie in [-1, 1], got 2.0",
       "nu0 must be > 0, got -0.1"}),
     (HestonParams, dict(kappa=1.0), FellerViolation, {FELLER_008_009}),
+    # delta**2 overflows
+    (HestonParams, dict(delta=1e200), FellerViolation,
+     {"Feller condition violated: 2*kappa*gamma_level = 0.16 <= delta**2 = inf"}),
     (HestonParams, dict(kappa=1.0, rho=1.5, mu=math.nan), InvalidParameters,
      {FELLER_008_009, "rho must lie in [-1, 1], got 1.5", "mu must be finite, got nan"}),
     (HestonParams, dict(kappa=1.0, nu0=0.0), OutOfRange, {"nu0 must be > 0, got 0.0"}),

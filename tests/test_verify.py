@@ -390,3 +390,26 @@ def test_ode_out_of_float_range_raises_domain_exceeded(integrate, model, change)
     with pytest.raises(DomainExceeded, match="ODE values leave the float range at ") as exc:
         integrate(p, U, 0.5, 100.0, 1e-3)
     assert f"{name}={value!r}" in str(exc.value)
+
+
+@pytest.mark.parametrize("t_end, dt", [(1.0, 1e-300), (1e3, 1e-6)], ids=["dt=1e-300", "1e9-steps"])
+def test_rk4_step_cap_raises_before_allocating(monkeypatch, t_end, dt):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the trace was allocated")
+
+    monkeypatch.setattr(verify.np, "arange", no_allocation)
+    monkeypatch.setattr(verify.np, "empty", no_allocation)
+    with pytest.raises(OutOfRange, match="exceeds the limit of 10,000,000 RK4 steps"):
+        integrate_heston_riccati(HESTON, U, 0.5, t_end, dt)
+
+
+def test_rk4_step_cap_admits_ten_million_steps(monkeypatch):
+    class Allocated(Exception):
+        pass
+
+    def allocated(*args, **kwargs):
+        raise Allocated
+
+    monkeypatch.setattr(verify.np, "arange", allocated)
+    with pytest.raises(Allocated):
+        integrate_heston_riccati(HESTON, U, 0.5, 10.0, 1e-6)
