@@ -291,4 +291,4 @@ def numeric_argmax(model: ModelSpec, u: Utility) -> float:
     best = int(np.argmax(growth_rate(model, u, grid)))
     lo = float(grid[max(best - 1, 0)])
     hi = float(grid[min(best + 1, grid.size - 1)])
-    return _golden_max(lambda a: float(growth_rate(model, u, a)), lo, hi, GOLDEN_TOL)
+    return _golden_max(lambda a: growth_rate(model, u, a), lo, hi, GOLDEN_TOL)

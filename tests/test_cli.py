@@ -373,7 +373,7 @@ VASICEK_FLAT = (
      "3/2 coefficients leave the float range at kappa=1e+308, gamma_level=10.0, delta=0.5"),
     (HESTON_CFG, ("model.delta = 0.3", "model.delta = 1e200"), ["optimal"],
      "Feller condition violated: 2*kappa*gamma_level = 0.16 <= delta**2 = inf"),
-    (HESTON_CFG, ("", ""), ["verify-ode", "--t-end", "1", "--dt", "1e-300"],
+    (HESTON_CFG, ("", ""), ["verify-ode", "--t-end", "1", "--dt", "1e-300"],  # config as is
      "t_end/dt = 1e+300 exceeds the limit of 10,000,000 RK4 steps"),
     (THREE_HALVES_FLAT, ("model.kappa = 2.0\nmodel.gamma_level = 0.04",
                          "model.kappa = 1e-200\nmodel.gamma_level = 1e-200"),

@@ -392,7 +392,8 @@ def test_ode_out_of_float_range_raises_domain_exceeded(integrate, model, change)
     assert f"{name}={value!r}" in str(exc.value)
 
 
-@pytest.mark.parametrize("t_end, dt", [(1.0, 1e-300), (1e3, 1e-6)], ids=["dt=1e-300", "1e9-steps"])
+@pytest.mark.parametrize("t_end, dt", [(1.0, 1e-300), (1e3, 1e-6), (1e300, 1e-300)],
+                         ids=["dt=1e-300", "1e9-steps", "inf-steps"])
 def test_rk4_step_cap_raises_before_allocating(monkeypatch, t_end, dt):
     def no_allocation(*args, **kwargs):
         raise AssertionError("the trace was allocated")
