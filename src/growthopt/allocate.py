@@ -1,10 +1,11 @@
 """Optimal static stock fractions, closed form and numeric.
 
 Each ``optimal_*`` function implements the exact case analysis for its
-model; ``numeric_argmax`` is an independent maximizer used to cross-check
-every closed form. It runs golden section around the best point of one
-64-point grid, a bracket that holds for unimodal or convex rates; concavity
-itself is checked by acceptance 03.
+model; the Heston and 3/2 models share one, because their growth rates
+share one form. ``numeric_argmax`` is an independent maximizer used to
+cross-check every closed form. It runs golden section around the best
+point of one 64-point grid, a bracket that holds for unimodal or convex
+rates; concavity itself is checked by acceptance 03.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .growth import (
     _float_range_error,
     _three_halves_constants,
     growth_rate,
-    heston_coefficients,
     jump_derivative_moment,
 )
 from .params import (
@@ -110,65 +110,63 @@ def optimal_gbm(p: GbmParams, u: Utility) -> AllocationDecision:
     theta = u.theta
     if p.mu <= p.r:
         return _decide(p, u, 0.0, CASE_BOND_ONLY)
-    dagger = (p.mu - p.r) / ((1.0 - theta) * p.sigma * p.sigma)
+    scale = (1.0 - theta) * p.sigma * p.sigma
+    dagger = (p.mu - p.r) / scale if scale > 0.0 else math.inf
+    if dagger == math.inf:
+        raise _float_range_error("GBM coefficients", p, ("mu", "sigma", "r"))
     if dagger >= 1.0:
         return _decide(p, u, 1.0, CASE_STOCK_ONLY, dagger)
     return _decide(p, u, dagger, CASE_INTERIOR, dagger)
 
 
-def optimal_heston(p: HestonParams, u: Utility) -> AllocationDecision:
-    """Three-branch analysis on the coefficient bundle.
+def _variance_decision(p, u: Utility, m0: float, rho: float) -> AllocationDecision:
+    """Case analysis of the rate form shared by Heston (m0 = kappa) and 3/2
+    (m0 = kappa + delta^2/2, rho = 0); see ``growth``.
 
-    Ties follow the printed inequalities: slope(0) <= 0 books everything in
-    the bond, c4 >= sqrt(c1) books everything in the stock.
+    With b = theta*rho, v = theta - theta^2, w = b^2 + v and
+    e = theta*(mu - r)*delta/(kappa*gamma): the bond iff mu <= r, the stock
+    iff e >= b + sqrt(w) or d = v + e*(2b - e) rounds to <= 0 (only within
+    rounding of that edge), else alpha = (m0/delta)(b - s*sqrt(v/d))/w with
+    s = b - e, rationalised where b*s > 0, and clamped to one. An alpha
+    beyond the float range raises DomainExceeded.
     """
-    c = heston_coefficients(p, u)
-    sqrt_c1 = math.sqrt(c.c1)
-    sqrt_c3 = math.sqrt(c.c3)
-    if c.c4 + c.c2 / sqrt_c3 <= 0.0:
+    theta = u.theta
+    if p.mu <= p.r:
         return _decide(p, u, 0.0, CASE_BOND_ONLY)
-    if c.c4 >= sqrt_c1:
+    b = theta * rho
+    v = theta - theta * theta
+    w = b * b + v
+    root_w = math.sqrt(w)
+    edge = b + root_w if b >= 0.0 else v / (root_w - b)
+    x = theta * (p.mu - p.r)
+    kg = p.kappa * p.gamma_level
+    e = x * p.delta / kg if kg > 0.0 else math.inf
+    s = b - e
+    d = v + e * (2.0 * b - e)
+    if e >= edge or d <= 0.0:
         return _decide(p, u, 1.0, CASE_STOCK_ONLY)
-    disc = c.c1 * c.c3 - c.c2 * c.c2
-    dagger = (c.c2 + c.c4 * math.sqrt(disc / (c.c1 - c.c4 * c.c4))) / c.c1
+    if b < 0.0 or b > e:  # b*s > 0, as signs: the product can underflow
+        # m0*x/kg is m0*e/delta without e, which underflows first
+        dagger = m0 * x / kg * (b + s) / (d * b + s * math.sqrt(v * d))
+    else:
+        dagger = m0 / p.delta * (b - s * math.sqrt(v / d)) / w
+    if not dagger < math.inf:  # the scale m0*x/kg or m0/delta leaves the float range
+        raise _float_range_error("stationary-point terms", p)
     if dagger >= 1.0:
         return _decide(p, u, 1.0, CASE_CLAMPED_TO_ONE, dagger)
-    if dagger <= 0.0:
-        # Unreachable for exact arithmetic (slope at 0 is positive here);
-        # kept as a round-off safety net.
-        return _decide(p, u, 0.0, CASE_CLAMPED_TO_ZERO, dagger)
     return _decide(p, u, dagger, CASE_INTERIOR, dagger)
+
+
+def optimal_heston(p: HestonParams, u: Utility) -> AllocationDecision:
+    """Bond-only / stock-only / interior split of the Heston growth rate."""
+    return _variance_decision(p, u, p.kappa, p.rho)
 
 
 def optimal_three_halves(p: ThreeHalvesParams, u: Utility) -> AllocationDecision:
-    """Bond-only / stock-only / interior split of the 3/2 growth rate.
-
-    Raises DomainExceeded when kappa*gamma_level, its square or
-    kappa/delta^2 overflows.
-    """
-    theta = u.theta
-    _, c, kg = _three_halves_constants(p)
-    excess = p.mu - p.r
-    if excess <= 0.0:
-        return _decide(p, u, 0.0, CASE_BOND_ONLY)
-    var_term = theta - theta * theta
-    if theta * excess - kg / p.delta * math.sqrt(var_term) >= 0.0:
-        return _decide(p, u, 1.0, CASE_STOCK_ONLY)
-    radicand = kg * kg * var_term - theta * theta * excess * excess * p.delta * p.delta
-    if radicand == math.inf:
-        raise _float_range_error("3/2 coefficients", p)
-    if radicand <= 0.0:
-        raise InternalInvariantViolation(
-            "interior branch entered with nonpositive radicand "
-            f"{radicand!r}; branch dispatch is inconsistent"
-        )
-    dagger = (
-        theta * excess * p.delta * p.delta * c
-        / (math.sqrt(radicand) * math.sqrt(var_term))
-    )
-    if dagger >= 1.0:
-        return _decide(p, u, 1.0, CASE_CLAMPED_TO_ONE, dagger)
-    return _decide(p, u, dagger, CASE_INTERIOR, dagger)
+    """Bond-only / stock-only / interior split of the 3/2 growth rate; raises
+    DomainExceeded when kappa*gamma_level or kappa/delta^2 leaves the float range."""
+    d2, _, _ = _three_halves_constants(p)
+    return _variance_decision(p, u, p.kappa + 0.5 * d2, 0.0)
 
 
 def _jump_slope(p: JumpDiffusionParams, u: Utility, alpha: float) -> float:
@@ -215,6 +213,8 @@ def optimal_vasicek(p: VasicekParams, u: Utility) -> AllocationDecision:
     """
     theta = u.theta
     k, g, d, s, rho = p.kappa, p.gamma_level, p.delta, p.sigma, p.rho
+    if k * k == 0.0:  # every term below divides by kappa^2
+        raise _float_range_error("Vasicek coefficients", p, ("kappa",))
     curvature = (
         d * d * theta / (2.0 * k * k)
         - d * theta * s * rho / k

@@ -2,9 +2,11 @@
 
 Each ``lambda_*`` function returns the exponential growth rate of the
 expected power utility of wealth for a fixed stock fraction ``alpha``.
-Radicals are evaluated in a rationalized form so that the bond-only value
-theta * r is reproduced exactly at alpha = 0 instead of through a
-cancellation of two large terms.
+The Heston and 3/2 rates share the form
+theta*(alpha*mu + (1-alpha)*r) + (kappa*gamma/delta^2)(m - R) with
+R = sqrt(m^2 + delta^2 alpha^2 (theta - theta^2)). Where m > 0, m - R is
+rationalized to -delta^2 alpha^2 (theta - theta^2)/(m + R), so theta * r is
+exact at alpha = 0 and nothing cancels as kappa/delta grows.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainExceeded, InternalInvariantViolation, OutOfRange, QuadratureFailure
+from .errors import DomainExceeded, OutOfRange, QuadratureFailure
 from .params import (
     ConstantJump,
     ExponentialJump,
@@ -63,6 +65,10 @@ SLOPE_SERIES_MIN_X = 40.0
 
 ArrayLike = Union[float, np.ndarray]
 
+# From here up, what m^2 and d^2 av lose to underflow (under 2^-1073 in
+# all) is far below the rounding of m^2 + d^2 av itself.
+R2_MIN = 2.0**-1000
+
 
 def _clamp_alpha(alpha: ArrayLike) -> ArrayLike:
     # Both tests are written so that NaN fails them instead of passing.
@@ -79,16 +85,38 @@ def _clamp_alpha(alpha: ArrayLike) -> ArrayLike:
     return np.clip(a, 0.0, 1.0)
 
 
-def _sqrt(x: ArrayLike) -> ArrayLike:
-    """Square root that keeps a Python float a Python float.
+def _hypot(m: ArrayLike, t: ArrayLike) -> np.ndarray:
+    """sqrt(m^2 + t^2), t >= 0, scaled by max(|m|, t) so no square leaves the float range."""
+    big = np.maximum(np.abs(m), t)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scaled = big * np.sqrt((m / big) * (m / big) + (t / big) * (t / big))
+    return np.where((big > 0.0) & (big < math.inf), scaled, big)
 
-    Scalar rates stay in Python arithmetic, which is faster than numpy's
-    scalar types and never warns; a negative or NaN radicand gives NaN, as
-    np.sqrt does, so ``growth_rate`` reports it as DomainExceeded.
+
+def _variance_rate(p, theta, a, m, av, d):
+    """theta*(a*mu + (1-a)*r) + (kappa*gamma/d^2)(m - R) with R = sqrt(m^2 + d^2 av).
+
+    R is computed from its squares while they lie in [R2_MIN, inf) and by
+    ``_hypot`` otherwise. Scalars (kept Python floats) and arrays take the
+    same arithmetic, so they give the same bits, which math.hypot and
+    np.hypot do not.
     """
-    if isinstance(x, float):
-        return math.sqrt(x) if x >= 0.0 else math.nan
-    return np.sqrt(x)
+    base = theta * (a * p.mu + (1.0 - a) * p.r)
+    r2 = m * m + d * d * av
+    kg = p.kappa * p.gamma_level
+    if isinstance(r2, float):
+        root = math.sqrt(r2) if R2_MIN <= r2 < math.inf else float(_hypot(m, d * math.sqrt(av)))
+    else:
+        root = np.sqrt(r2)
+        if not (r2.min() >= R2_MIN and r2.max() < math.inf):
+            exact = (r2 >= R2_MIN) & (r2 < math.inf)
+            root = np.where(exact, root, _hypot(m, d * np.sqrt(av)))
+    if isinstance(m, float):
+        return base + (-kg * av / (m + root) if m > 0.0 else kg / d * ((m - root) / d))
+    term = -kg * av / (m + root)
+    if not m.min() > 0.0:
+        term = np.where(m > 0.0, term, kg / d * ((m - root) / d))
+    return base + term
 
 
 def _float_range_error(what: str, p, names=("kappa", "gamma_level", "delta")) -> DomainExceeded:
@@ -120,8 +148,13 @@ def _diffusion_growth(mu, r, sigma, theta, alpha):
 
 @dataclass(frozen=True)
 class HestonCoefficients:
-    """Constant bundle describing the Heston growth rate as
-    -sqrt(c1*a^2 - 2*c2*a + c3) + c4*a + c0."""
+    """The Heston growth rate as -sqrt(c1*a^2 - 2*c2*a + c3) + c4*a + c0.
+
+    With s = kappa*gamma/delta^2: c0 = s*kappa + theta*r,
+    c1 = s^2 delta^2 (theta - theta^2 (1 - rho^2)), c2 = s^2 kappa delta theta rho,
+    c3 = (s*kappa)^2 and c4 = theta*(mu - r) - s*delta*theta*rho. Its terms
+    cancel as kappa/delta grows, so the rate is not evaluated from it.
+    """
 
     c0: float
     c1: float
@@ -133,35 +166,21 @@ class HestonCoefficients:
 def heston_coefficients(p: HestonParams, u: Utility) -> HestonCoefficients:
     """Coefficient bundle for the Heston growth rate.
 
-    Raises DomainExceeded when kappa^6 or gamma^4 overflows or delta^4,
-    delta^6 or c3 underflows to zero, and InternalInvariantViolation if the positivity
-    identity c1*c3 - c2**2 == kappa^6 gamma^4 (theta - theta^2) / delta^6
-    fails beyond 1e-12 relative, which would indicate an arithmetic bug.
+    Raises DomainExceeded when a coefficient is not finite or c3 underflows.
     """
     theta = u.theta
-    k, g, d, rho = p.kappa, p.gamma_level, p.delta, p.rho
-    try:
-        k2g2_d4 = (k * k * g * g) / d**4
-        rhs = k**6 * g**4 * (theta - theta * theta) / d**6
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise _float_range_error("Heston coefficients", p) from exc
-    c3 = k2g2_d4 * (k * k)
-    if c3 == 0.0:
-        # the rate would divide 0 by 0
+    k, d, rho = p.kappa, p.delta, p.rho
+    s = k * p.gamma_level / (d * d) if d * d > 0.0 else math.inf
+    c = HestonCoefficients(
+        c0=s * k + theta * p.r,
+        c1=s * s * (d * d) * (theta - theta * theta * (1.0 - rho * rho)),
+        c2=s * s * k * d * theta * rho,
+        c3=s * k * (s * k),
+        c4=theta * (p.mu - p.r) - s * d * theta * rho,
+    )
+    if not (np.isfinite([c.c0, c.c1, c.c2, c.c3, c.c4]).all() and c.c3 > 0.0):
         raise _float_range_error("Heston coefficients", p)
-    c0 = k * k * g / (d * d) + theta * p.r
-    c1 = k2g2_d4 * (d * d * theta - d * d * theta * theta * (1.0 - rho * rho))
-    c2 = d * k * rho * theta * k2g2_d4
-    c4 = -theta * rho * k * g / d + theta * (p.mu - p.r)
-
-    lhs = c1 * c3 - c2 * c2
-    # the second tolerance term covers the cancellation c1*c3 - c2^2 itself,
-    # which exceeds 1e-12 relative when theta -> 1 even for correct arithmetic
-    if abs(lhs - rhs) > 1e-12 * abs(rhs) + 32.0 * np.finfo(float).eps * (c1 * c3 + c2 * c2):
-        raise InternalInvariantViolation(
-            f"Heston coefficient identity failed: c1*c3 - c2^2 = {lhs!r}, expected {rhs!r}"
-        )
-    return HestonCoefficients(c0=c0, c1=c1, c2=c2, c3=c3, c4=c4)
+    return c
 
 
 def lambda_gbm(p: GbmParams, u: Utility, alpha: ArrayLike) -> ArrayLike:
@@ -171,23 +190,22 @@ def lambda_gbm(p: GbmParams, u: Utility, alpha: ArrayLike) -> ArrayLike:
 
 
 def lambda_heston(p: HestonParams, u: Utility, alpha: ArrayLike) -> ArrayLike:
-    """Heston growth rate; independent of the initial variance nu0."""
+    """Heston growth rate, the shared form with m = kappa - delta*theta*rho*a;
+    independent of the initial variance nu0."""
     a = _clamp_alpha(alpha)
-    c = heston_coefficients(p, u)
-    s = p.kappa * p.kappa * p.gamma_level / (p.delta * p.delta)
-    num = c.c1 * a * a - 2.0 * c.c2 * a
-    rad = num + c.c3
-    return u.theta * p.r + c.c4 * a - num / (_sqrt(rad) + s)
+    theta = u.theta
+    m = p.kappa - p.delta * theta * p.rho * a
+    return _variance_rate(p, theta, a, m, a * a * (theta - theta * theta), p.delta)
 
 
 def lambda_three_halves(p: ThreeHalvesParams, u: Utility, alpha: ArrayLike) -> ArrayLike:
-    """3/2-model growth rate; independent of the initial variance nu0."""
+    """3/2 growth rate, the shared form with m = kappa + delta^2/2 and rho = 0, divided
+    through by delta^2; independent of the initial variance nu0."""
     a = _clamp_alpha(alpha)
     theta = u.theta
     c = 0.5 + p.kappa / (p.delta * p.delta)
     q = a * a * (theta - theta * theta) / (p.delta * p.delta)
-    kg = p.kappa * p.gamma_level
-    return theta * (a * p.mu + (1.0 - a) * p.r) - kg * q / (_sqrt(c * c + q) + c)
+    return _variance_rate(p, theta, a, c, q, 1.0)
 
 
 def laplace_three_halves_finite_t(
@@ -384,7 +402,7 @@ def growth_rate(model: ModelSpec, u: Utility, alpha: ArrayLike) -> ArrayLike:
             value = _RATES[kind](model, u, alpha)
             finite = math.isfinite(value)
         else:
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 value = _RATES[kind](model, u, alpha)
             finite = np.isfinite(value).all()
     except ZeroDivisionError:  # a Python-float divisor underflowed to zero

@@ -56,6 +56,11 @@ BLOCK_SIZE = 16384
 # Reciprocal-variance floor guarding 1/x after a (measure-zero) truncation.
 _RECIP_FLOOR = 1e-12
 
+# Most RK4 steps per trace and jump events expected per MC block; each is stored.
+_WORK_LIMIT = 10_000_000
+# numpy's Generator.poisson rejects a larger mean.
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class OdeTrace:
@@ -114,8 +119,8 @@ def _rk4_quadratic_trace(qa, qb, qc, pa, pb, b0, t_end, dt, b_limit):
     if not (math.isfinite(t_end) and 0.0 < dt <= t_end):
         raise OutOfRange(f"need 0 < dt <= t_end, got dt={dt}, t_end={t_end}")
     steps = t_end / dt
-    if steps > 10_000_000.5:  # round(steps) > 1e7, 240 MB of trace; round(inf) raises
-        raise OutOfRange(f"t_end/dt = {steps:.6g} exceeds the limit of 10,000,000 RK4 steps")
+    if steps > _WORK_LIMIT + 0.5:  # round(steps) > 1e7, 240 MB of trace; round(inf) raises
+        raise OutOfRange(f"t_end/dt = {steps:.6g} exceeds the limit of {_WORK_LIMIT:,} RK4 steps")
     n = max(1, int(round(steps)))
     h = t_end / n
     times = np.arange(n + 1) * h
@@ -231,8 +236,6 @@ def integrate_vasicek_ode(
 
 
 def _sample_jump_factors(law, rng: np.random.Generator, n: int) -> np.ndarray:
-    if isinstance(law, ConstantJump):
-        return np.full(n, law.y)
     if isinstance(law, ExponentialJump):
         return rng.exponential(scale=1.0 / law.rate, size=n)
     # Tabulated inverse CDF on the declared support.
@@ -244,8 +247,15 @@ def _sample_jump_factors(law, rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _log_ratio_gbm(p: GbmParams, alpha, t, n_steps, rng, size):
+    """Exact lognormal log-return, also a jump path's diffusion part.
+
+    Raises DomainExceeded naming sigma when sigma^2 overflows.
+    """
     z = rng.standard_normal(size)
-    drift = (alpha * p.mu + (1.0 - alpha) * p.r - 0.5 * alpha * alpha * p.sigma**2) * t
+    try:
+        drift = (alpha * p.mu + (1.0 - alpha) * p.r - 0.5 * alpha * alpha * p.sigma**2) * t
+    except OverflowError as exc:
+        raise _float_range_error("lognormal drift terms", p, ("sigma",)) from exc
     return drift + alpha * p.sigma * math.sqrt(t) * z
 
 
@@ -292,16 +302,24 @@ def _log_ratio_three_halves(p: ThreeHalvesParams, alpha, t, n_steps, rng, size):
 
 
 def _log_ratio_jump(p: JumpDiffusionParams, alpha, t, n_steps, rng, size):
-    z = rng.standard_normal(size)
-    counts = rng.poisson(p.lambda_j * t, size)
+    lam = p.lambda_j * t
+    if lam > _POISSON_LAM_MAX:
+        raise OutOfRange(f"lambda_j*t = {lam:.6g} exceeds numpy's Poisson limit")
+    constant = isinstance(p.jump, ConstantJump)  # needs no array of jump factors
+    if not constant and lam * size > _WORK_LIMIT:
+        raise OutOfRange(f"{lam * size:.6g} expected jumps in {size} paths exceed {_WORK_LIMIT:,}")
+    lognormal = _log_ratio_gbm(p, alpha, t, n_steps, rng, size)
+    counts = rng.poisson(lam, size)
+    if constant:  # log(0) = -inf where one jump takes the whole stake
+        log_factor = np.log(alpha * (p.jump.y - 1.0) + 1.0)
+        return lognormal + np.where(counts > 0, counts * log_factor, 0.0)
     total = int(counts.sum())
     per_path = np.zeros(size)
     if total > 0:
         ys = _sample_jump_factors(p.jump, rng, total)
         log_factors = np.log(alpha * (ys - 1.0) + 1.0)
         np.add.at(per_path, np.repeat(np.arange(size), counts), log_factors)
-    drift = (alpha * p.mu + (1.0 - alpha) * p.r - 0.5 * alpha * alpha * p.sigma**2) * t
-    return drift + alpha * p.sigma * math.sqrt(t) * z + per_path
+    return lognormal + per_path
 
 
 def _log_ratio_vasicek(p: VasicekParams, alpha, t, n_steps, rng, size):

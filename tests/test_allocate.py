@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from growthopt import allocate
 from growthopt import (
@@ -9,6 +11,7 @@ from growthopt import (
     DomainExceeded,
     ExponentialJump,
     GbmParams,
+    GrowthOptError,
     HestonParams,
     JumpDiffusionParams,
     ThreeHalvesParams,
@@ -24,6 +27,7 @@ from growthopt import (
     optimal_vasicek,
 )
 
+from reference import assert_variance_model_matches, variance_argmax, variance_rate
 from support import DRAWERS, draw_utility
 
 U = Utility(0.5)
@@ -91,20 +95,32 @@ def test_three_halves_cases():
     assert inner.case_label in ("Interior", "ClampedToOne")
 
 
-@pytest.mark.parametrize("change", [
-    dict(kappa=1e308, gamma_level=10.0),  # kappa*gamma_level overflows
-    dict(kappa=1e200),                    # its square overflows
-    dict(delta=1e-200),                   # delta^2 underflows
-    dict(mu=0.03, kappa=1e308, gamma_level=10.0),  # bond-only branch
+@pytest.mark.parametrize("change, raises", [
+    (dict(kappa=1e308, gamma_level=10.0), True),  # kappa*gamma_level overflows
+    (dict(kappa=1e200), False),                   # only its square overflows
+    (dict(delta=1e-200), True),                   # delta^2 underflows
+    (dict(mu=0.03, kappa=1e308, gamma_level=10.0), True),  # bond-only branch
 ], ids=["kappa-gamma", "kappa-gamma-squared", "delta-squared", "bond-only"])
-def test_three_halves_out_of_float_range_names_parameters(change):
+def test_three_halves_out_of_float_range_names_parameters(change, raises):
     p = replace(ThreeHalvesParams(mu=0.08, kappa=2.0, gamma_level=0.04, delta=0.5, r=0.03,
                                   nu0=0.04), **change)
+    if not raises:  # the decision never squares kappa*gamma_level
+        assert_variance_model_matches(p, U)
+        return
     named = f"kappa={p.kappa!r}, gamma_level={p.gamma_level!r}, delta={p.delta!r}"
     for call in (optimal_three_halves, optimal_allocation):
         with pytest.raises(DomainExceeded, match="3/2 coefficients leave the float range") as exc:
             call(p, U)
         assert str(exc.value).endswith(named)
+
+
+def test_heston_stationary_point_beyond_the_float_range_raises():
+    # alpha_dagger ~ (mu - r)/((1 - theta)*gamma_level) ~ 1e308
+    p = HestonParams(mu=0.08, kappa=1e300, gamma_level=1e-310, delta=1e-12, rho=-0.5, r=0.03,
+                     nu0=0.04)
+    with pytest.raises(DomainExceeded, match="stationary-point terms leave the float range at "
+                       "kappa=1e\\+300, gamma_level=1e-310, delta=1e-12"):
+        optimal_heston(p, U)
 
 
 def test_three_halves_interior_matches_numeric():
@@ -234,3 +250,35 @@ def test_case_label_slope_consistency():
             if d.case_label == "Interior":
                 assert 0.0 < d.alpha_star < 1.0
                 assert d.alpha_dagger == d.alpha_star
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    heston=st.booleans(),
+    log10_kappa=st.floats(-150.0, 150.0),
+    log10_gamma=st.floats(-150.0, 150.0),
+    log10_delta=st.floats(-150.0, 150.0),
+    rho=st.floats(-1.0, 1.0),
+    mu=st.floats(-0.05, 0.15),
+    r=st.floats(-0.02, 0.08),
+    theta=st.floats(0.05, 0.95),
+)
+def test_variance_optimum_matches_reference_across_the_float_range(
+    heston, log10_kappa, log10_gamma, log10_delta, rho, mu, r, theta
+):
+    kappa, gamma, delta = 10.0**log10_kappa, 10.0**log10_gamma, 10.0**log10_delta
+    if heston:
+        assume(2.0 * kappa * gamma > delta * delta)  # Feller
+        model = HestonParams(mu=mu, kappa=kappa, gamma_level=gamma, delta=delta, rho=rho, r=r,
+                             nu0=0.04)
+    else:
+        model = ThreeHalvesParams(mu=mu, kappa=kappa, gamma_level=gamma, delta=delta, r=r,
+                                  nu0=0.04)
+    u = Utility(theta)
+    try:
+        decision = optimal_allocation(model, u)
+    except GrowthOptError:
+        return
+    assert abs(decision.alpha_star - variance_argmax(model, u)) <= 1e-13
+    want = variance_rate(model, u, decision.alpha_star)
+    assert abs(decision.lambda_at_star - want) <= 1e-14 * abs(want) + 1e-16

@@ -15,6 +15,8 @@ from growthopt import (
     UnknownKey,
 )
 from growthopt.cli import parse_config, run
+from reference import variance_argmax, variance_rate
+from support import REFERENCE_CONFIGS
 
 GBM_FLAT = (
     "model.kind = gbm\n"
@@ -311,10 +313,18 @@ def test_non_finite_run_values_exit_2(tmp_path, capsys, command, key, value, sou
                    "model.kappa = 1e308\nmodel.gamma_level = 10.0")),
 ], ids=["optimal-kappa", "optimal-delta", "verify-mc-nan-variance"])
 def test_heston_out_of_float_range_exits_2(tmp_path, capsys, command, change):
-    cfg = write(tmp_path, "h.cfg", HESTON_CFG.replace(*change))
-    argv = [command, "--config", cfg]
-    if command == "verify-mc":
-        argv += ["--t", "1", "--paths", "100", "--steps", "10"]
+    text = HESTON_CFG.replace(*change)
+    argv = [command, "--config", write(tmp_path, "h.cfg", text)]
+    if command == "optimal":
+        # the closed forms stay exact where the Heston coefficient bundle does not
+        assert run(argv) == 0
+        decision = json.loads(capsys.readouterr().out)
+        cfg = parse_config(text)
+        assert decision["alpha_star"] == variance_argmax(cfg.model, cfg.utility)
+        assert decision["lambda_at_star"] == pytest.approx(
+            variance_rate(cfg.model, cfg.utility, decision["alpha_star"]), rel=1e-14)
+        return
+    argv += ["--t", "1", "--paths", "100", "--steps", "10"]
     assert run(argv) == 2
     assert "error: " in capsys.readouterr().err
 
@@ -351,6 +361,9 @@ VASICEK_FLAT = (
     "model.rho = -0.3\nmodel.r0 = 0.03\nutility.theta = 0.5\n"
 )
 
+JUMP_FLAT = REFERENCE_CONFIGS["jump"] + "utility.theta = 0.5\n"
+MC_SMALL = ["verify-mc", "--t", "1", "--paths", "100", "--steps", "10"]
+
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("base, change, argv, message", [
@@ -380,9 +393,24 @@ VASICEK_FLAT = (
      ["transform-3-2", "--paths", "100", "--steps", "100"],
      "3/2 transform constants at t=1.0 leave the float range at kappa=1e-200, "
      "gamma_level=1e-200, delta=0.5, nu0=0.04"),
+    (GBM_FLAT, ("model.sigma = 0.2", "model.sigma = 1e-200"), ["optimal"],
+     "GBM coefficients leave the float range at mu=0.08, sigma=1e-200, r=0.03"),
+    (VASICEK_FLAT, ("model.kappa = 2.0", "model.kappa = 1e-200"), ["optimal"],
+     "Vasicek coefficients leave the float range at kappa=1e-200"),
+    (GBM_FLAT, ("model.sigma = 0.2", "model.sigma = 1e200"), MC_SMALL,
+     "lognormal drift terms leave the float range at sigma=1e+200"),
+    (JUMP_FLAT, ("model.sigma = 0.2", "model.sigma = 1e200"), MC_SMALL,
+     "lognormal drift terms leave the float range at sigma=1e+200"),
+    (JUMP_FLAT, ("model.lambda_j = 1.0", "model.lambda_j = 1e19"), MC_SMALL,
+     "lambda_j*t = 1e+19 exceeds numpy's Poisson limit"),
+    (JUMP_FLAT, ("model.lambda_j = 1.0", "model.lambda_j = 1e6"), MC_SMALL,
+     "1e+08 expected jumps in 100 paths exceed 10,000,000"),
 ], ids=["ode-heston-kappa", "ode-heston-delta", "ode-vasicek-kappa", "ode-vasicek-delta",
         "ode-vasicek-small-kappa", "optimal-three-halves", "transform-three-halves",
-        "optimal-heston-feller-overflow", "ode-step-cap", "transform-three-halves-underflow"])
+        "optimal-heston-feller-overflow", "ode-step-cap", "transform-three-halves-underflow",
+        "optimal-gbm-sigma-squared-underflow", "optimal-vasicek-kappa-squared-underflow",
+        "verify-mc-gbm-sigma-squared-overflow", "verify-mc-jump-sigma-squared-overflow",
+        "verify-mc-jump-poisson-limit", "verify-mc-jump-event-limit"])
 def test_out_of_float_range_exits_2_naming_parameters(tmp_path, capsys, base, change, argv,
                                                        message):
     cfg = write(tmp_path, "f.cfg", base.replace(*change))

@@ -33,6 +33,12 @@ from growthopt import (
 )
 
 from growthopt.growth import SLOPE_SERIES_MIN_X, _clamp_alpha
+from reference import (
+    assert_variance_model_matches,
+    exponential_slope_reference,
+    laplace_three_halves_reference,
+    variance_rate,
+)
 from support import (
     DRAWERS,
     draw_heston,
@@ -128,25 +134,84 @@ def test_heston_coefficient_identity_random():
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-@pytest.mark.parametrize("change", [dict(kappa=1e52), dict(delta=1e-60), dict(delta=1e-200),
-                                    dict(kappa=1e-163, gamma_level=1e76, delta=1e-44)],
-                         ids=["kappa=1e52", "delta=1e-60", "delta=1e-200", "c3-underflows"])
-def test_heston_closed_form_out_of_float_range_raises_domain_exceeded(change):
+@pytest.mark.parametrize("change, bundle_overflows", [
+    (dict(kappa=1e52), False), (dict(delta=1e-60), False), (dict(delta=1e-200), True),
+    (dict(kappa=1e-163, gamma_level=1e76, delta=1e-44), True),
+], ids=["kappa=1e52", "delta=1e-60", "delta=1e-200", "c3-underflows"])
+def test_heston_closed_form_out_of_float_range_raises_domain_exceeded(change, bundle_overflows):
+    # Inputs where the coefficient bundle cancels or leaves the float range:
+    # the rate and optimum do not go through it and match the reference, and
+    # only the bundle itself raises.
     p = replace(HESTON, **change)
-    for call in (lambda: growth_rate(p, U, 0.5), lambda: growth_curve(p, U, 5),
-                 lambda: optimal_allocation(p, U)):
-        with pytest.raises(DomainExceeded, match="Heston coefficients"):
-            call()
+    assert_variance_model_matches(p, U)
+    if bundle_overflows:
+        with pytest.raises(DomainExceeded, match="Heston coefficients leave the float range"):
+            heston_coefficients(p, U)
+    else:
+        heston_coefficients(p, U)
 
 
 @pytest.mark.filterwarnings("error")
 def test_growth_rate_negative_radicand_raises_domain_exceeded():
-    # theta one ulp below 1 and kappa = delta*theta*alpha*rho: the Heston
-    # radicand is 0 in exact arithmetic and rounds to a negative number.
+    # theta one ulp below 1 and kappa = delta*theta*alpha*rho: m is 0 in exact
+    # arithmetic, where the coefficient bundle's radicand rounds negative.
     p = HestonParams(mu=0.08, kappa=0.2710032349404143, gamma_level=1.6299714419948765,
                      delta=0.5843289818973504, rho=1.0, r=0.03, nu0=0.04)
-    with pytest.raises(DomainExceeded, match="heston growth rate is not finite"):
-        growth_rate(p, Utility(0.9999999999999999), 0.46378537319927376)
+    u, alpha = Utility(0.9999999999999999), 0.46378537319927376
+    want = variance_rate(p, u, alpha)
+    assert growth_rate(p, u, alpha) == pytest.approx(want, rel=1e-15)
+
+
+def _edge_models(side):
+    """Models whose e = theta*(mu - r)*delta/(kappa*gamma) lies one ulp ``side`` of
+    the StockOnly edge b + sqrt(b^2 + v). With kappa*gamma = delta = 0.5,
+    r = 0 and theta = 0.5, e = mu/2 exactly. At rho = -0.83 and 0.4 the
+    interior term d = v + e*(2b - e) rounds to <= 0 one ulp below the edge.
+    """
+    models = []
+    for rho in (-0.83, 0.4, 0.0):
+        b, v = 0.5 * rho, 0.25
+        root_w = math.sqrt(b * b + v)
+        edge = b + root_w if b >= 0.0 else v / (root_w - b)
+        mu = 2.0 * math.nextafter(edge, side)
+        models.append(HestonParams(mu=mu, kappa=1.0, gamma_level=0.5, delta=0.5, rho=rho,
+                                   r=0.0, nu0=0.04))
+    # 3/2 has b = 0, so its edge is the last (rho = 0) one
+    models.append(ThreeHalvesParams(mu=mu, kappa=1.0, gamma_level=0.5, delta=0.5, r=0.0,
+                                    nu0=0.04))
+    return models
+
+
+EXTREMES = [dict(kappa=k) for k in (1e14, 1e17, 1e40, 1e52, 1e155, 1e300)] + [
+    dict(delta=1e-60), dict(delta=1e-200)]
+VARIANCE_TABLE = (
+    [replace(HESTON, **change) for change in EXTREMES]
+    # at delta = 1e-200 the 3/2 rate raises (test_growth_rate_divisor_underflow_...)
+    + [replace(THREE_HALVES, **change) for change in EXTREMES[:-1]]
+    # m = kappa - delta*theta*rho*alpha < 0 from alpha = 0.22
+    + [HestonParams(mu=0.08, kappa=0.1, gamma_level=10.0, delta=1.0, rho=0.9, r=0.03, nu0=0.04)]
+    # m^2 and delta^2 alpha^2 (theta - theta^2) underflow
+    + [replace(HESTON, kappa=1e-200, gamma_level=1e150, delta=d) for d in (1e-160, 1e-170)]
+    # kappa*gamma_level underflows to 0
+    + [replace(THREE_HALVES, kappa=1e-200, gamma_level=1e-200)]
+    # b = theta*rho and s = b - e near 1e-181, so b*s underflows to 0
+    + [HestonParams(mu=0.125, kappa=1e96, gamma_level=1.0, delta=1e-88, rho=3.8072034948224054e-181,
+                    r=0.0, nu0=0.04)]
+    + _edge_models(0.0) + _edge_models(math.inf)
+)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model", VARIANCE_TABLE, ids=[
+    *(f"heston-{k}={v:g}" for c in EXTREMES for k, v in c.items()),
+    *(f"three_halves-{k}={v:g}" for c in EXTREMES[:-1] for k, v in c.items()),
+    "heston-m<0", "heston-squares-underflow-1e-160", "heston-squares-underflow-1e-170",
+    "three_halves-kappa*gamma-underflows", "heston-b*s-underflows",
+    *(f"{side}-edge-{name}" for side in ("below", "above")
+      for name in ("heston-rho=-0.83", "heston-rho=0.4", "heston-rho=0", "three_halves")),
+])
+def test_variance_rates_and_optima_match_reference(model):
+    assert_variance_model_matches(model, U)
 
 
 @pytest.mark.filterwarnings("error")
@@ -177,25 +242,11 @@ def test_laplace_three_halves_out_of_float_range_names_parameters():
         laplace_three_halves_finite_t(p, 0.0625, 1.0)
 
 
-def _laplace_three_halves_reference(p, lambda_l, t):
-    """The Kummer closed form of the 3/2 transform at 60 digits (DLMF 13.2.2)."""
-    with mpmath.workdps(60):
-        k, g, d, nu0 = map(mpmath.mpf, (p.kappa, p.gamma_level, p.delta, p.nu0))
-        lambda_l, t = mpmath.mpf(lambda_l), mpmath.mpf(t)
-        d2 = d * d
-        c = mpmath.mpf(0.5) + k / d2
-        root = mpmath.sqrt(c * c + 2 * lambda_l / d2)
-        a = (2 * lambda_l / d2) / (root + c)
-        b = 1 + 2 * root
-        z = 2 * k * g / (d2 * nu0 * mpmath.expm1(k * g * t))
-        return float(mpmath.gamma(b - a) / mpmath.gamma(b) * z**a * mpmath.hyp1f1(a, b, -z))
-
-
 @pytest.mark.parametrize("kg_t", [1e-3, 1e-9, 1e-18])
 def test_laplace_three_halves_small_kappa_gamma_t_matches_mpmath(kg_t):
     p = replace(THREE_HALVES, kappa=1.0, gamma_level=kg_t)
     value = laplace_three_halves_finite_t(p, 0.125, 1.0)
-    assert value == pytest.approx(_laplace_three_halves_reference(p, 0.125, 1.0), rel=1e-13)
+    assert value == pytest.approx(laplace_three_halves_reference(p, 0.125, 1.0), rel=1e-13)
 
 
 @pytest.mark.parametrize("change", [
@@ -332,24 +383,6 @@ def test_jump_derivative_moment_exponential_matches_finite_difference():
         assert U.theta * jump_derivative_moment(law, U, alpha) == pytest.approx(fd, rel=1e-5)
 
 
-def _exponential_slope_reference(rate, theta, alpha):
-    """E[(alpha*(Y-1)+1)^(theta-1) (Y-1)] at 60 digits, as (E[w^theta] - E[w^(theta-1)])/alpha.
-
-    With w = alpha*Y + 1 - alpha and x = rate*(1/alpha - 1),
-    E[w^s] = (alpha/rate)^s e^x Gamma(s+1, x) (DLMF 8.2.2).
-    """
-    with mpmath.workdps(60):
-        rate, theta, alpha = mpmath.mpf(rate), mpmath.mpf(theta), mpmath.mpf(alpha)
-        if alpha == 0:
-            return float(1 / rate - 1)
-        x = rate * (1 / alpha - 1)
-
-        def moment(s):
-            return (alpha / rate) ** s * mpmath.exp(x) * mpmath.gammainc(s + 1, x)
-
-        return float((moment(theta) - moment(theta - 1)) / alpha)
-
-
 @pytest.mark.parametrize("theta", [0.05, 0.5, 0.95])
 @pytest.mark.parametrize("rate", [0.05, 0.5, 2.0, 5.0, 50.0])
 def test_jump_derivative_moment_exponential_matches_mpmath(rate, theta):
@@ -361,7 +394,7 @@ def test_jump_derivative_moment_exponential_matches_mpmath(rate, theta):
     u = Utility(theta)
     for alpha in alphas:
         value = jump_derivative_moment(ExponentialJump(rate=rate), u, alpha)
-        assert abs(value - _exponential_slope_reference(rate, theta, alpha)) <= 1e-12, alpha
+        assert abs(value - exponential_slope_reference(rate, theta, alpha)) <= 1e-12, alpha
 
 
 def test_jump_constant_one_equals_gbm_bitwise():

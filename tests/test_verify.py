@@ -216,6 +216,19 @@ def test_mc_jump_matches_closed_form():
     assert abs(est.lambda_hat - closed) <= 3.0 * est.std_error + 1e-3
 
 
+def test_mc_constant_jump_needs_no_per_event_array():
+    # 16,384 paths at lambda_j*t = 1,000 expect 1.6e7 jumps, above the per-block
+    # limit for laws that draw one factor per jump
+    const = JumpDiffusionParams(mu=0.08, sigma=0.2, lambda_j=1000.0, jump=ConstantJump(y=1.0001),
+                                r=0.03)
+    est = mc_growth_estimate(const, U, 0.5, 1.0, 16_384, 1, seed=31)
+    closed = float(lambda_jump(const, U, 0.5))
+    assert abs(est.lambda_hat - closed) <= 3.0 * est.std_error + 1e-3
+    with pytest.raises(OutOfRange, match="1.6384e\\+07 expected jumps in 16384 paths"):
+        mc_growth_estimate(replace(const, jump=ExponentialJump(rate=1.0)), U, 0.5, 1.0, 16_384, 1,
+                           seed=31)
+
+
 def test_mc_vasicek_alpha_zero_is_random():
     # with a stochastic rate the bond-only portfolio is still random
     est = mc_growth_estimate(VASICEK, U, 0.0, 2.0, 5_000, 40, seed=3)
