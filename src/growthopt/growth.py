@@ -86,11 +86,13 @@ def _clamp_alpha(alpha: ArrayLike) -> ArrayLike:
 
 
 def _hypot(m: ArrayLike, t: ArrayLike) -> np.ndarray:
-    """sqrt(m^2 + t^2), t >= 0, scaled by max(|m|, t) so no square leaves the float range."""
+    """sqrt(m^2 + t^2), t >= 0, scaled by max(|m|, t) so no square leaves the float range.
+
+    NaN when that maximum is 0 or infinite, which ``growth_rate`` reports.
+    """
     big = np.maximum(np.abs(m), t)
     with np.errstate(invalid="ignore", divide="ignore"):
-        scaled = big * np.sqrt((m / big) * (m / big) + (t / big) * (t / big))
-    return np.where((big > 0.0) & (big < math.inf), scaled, big)
+        return big * np.sqrt((m / big) * (m / big) + (t / big) * (t / big))
 
 
 def _variance_rate(p, theta, a, m, av, d):

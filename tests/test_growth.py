@@ -115,6 +115,16 @@ def test_growth_rate_raises_domain_exceeded_when_not_finite():
         growth_curve(model, U, 11)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [0.0, 1.0, np.linspace(0.0, 1.0, 5)])
+def test_three_halves_rate_raises_when_kappa_over_delta_squared_overflows(alpha):
+    # c = 1/2 + kappa/delta^2 is inf while kappa*gamma*q stays finite; the
+    # bond-only value would drop gamma*alpha^2*(theta - theta^2)/2 = 0.375
+    model = replace(THREE_HALVES, kappa=2e8, gamma_level=3.0, delta=1e-150)
+    with pytest.raises(DomainExceeded, match="three_halves growth rate is not finite"):
+        growth_rate(model, U, alpha)
+
+
 def test_heston_coefficients_examples():
     rho0 = HestonParams(mu=0.08, kappa=2.0, gamma_level=0.04, delta=0.3, rho=0.0, r=0.03, nu0=0.04)
     c = heston_coefficients(rho0, U)
