@@ -29,6 +29,7 @@ KUMMER_MAX_ABS_Z = 700.0
 _MAX_TERMS = 2000
 _REL_TOL = 1e-17
 _FPMIN = 1e-300
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,16 @@ def _lanczos_lgamma(x: float) -> float:
 
 
 def _kummer_series(a: float, b: float, z: float):
-    """Raw Taylor sum of M(a,b,z); returns (sum, tail_bound, abs_sum)."""
+    """Raw Taylor sum of M(a,b,z); returns (sum, error bound).
+
+    The bound is the geometric tail plus the rounding of the sum. Each term
+    carries the six roundings of the recurrence step that made it, one more
+    per step when ``a`` is itself rounded (as b - a is under the Kummer
+    transformation), and recursive summation adds one per term. With k terms
+    that is at most 8k*u*sum|term| (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, §3.1 and §4.2): the rounding grows with the
+    term count.
+    """
     term = 1.0
     total = 1.0
     abs_total = 1.0
@@ -82,11 +92,12 @@ def _kummer_series(a: float, b: float, z: float):
         total += term
         abs_total += abs(term)
         if abs(term) <= _REL_TOL * abs(total):
+            rounding = 8.0 * (n + 2) * _UNIT_ROUNDOFF * abs_total
             if term == 0.0:
-                return total, 0.0, abs_total
+                return total, rounding
             ratio = abs(z) * abs(a + n + 1) / (abs(b + n + 1) * (n + 2))
             if ratio < 1.0:
-                return total, abs(term) * ratio / (1.0 - ratio), abs_total
+                return total, abs(term) * ratio / (1.0 - ratio) + rounding
             # Not yet in the geometric regime; keep summing.
     raise DomainExceeded(
         f"Kummer series did not converge within {_MAX_TERMS} terms for "
@@ -114,13 +125,12 @@ def kummer_m(a: float, b: float, z: float) -> SpecFunResult:
         # With b > 0 the transformed series has at most a few early sign
         # changes, unlike the raw series whose alternating terms reach
         # exp(|z|) and cancel catastrophically.
-        total, tail, abs_total = _kummer_series(b - a, b, -z)
+        total, err = _kummer_series(b - a, b, -z)
         scale = math.exp(z)
         value = scale * total
-        est = scale * (tail + 1e-16 * abs_total)
-        return SpecFunResult(value, est)
-    total, tail, abs_total = _kummer_series(a, b, z)
-    return SpecFunResult(total, tail + 1e-16 * abs_total)
+        # exp and the product add a rounding each
+        return SpecFunResult(value, scale * err + 2.0 * _UNIT_ROUNDOFF * abs(value))
+    return SpecFunResult(*_kummer_series(a, b, z))
 
 
 def _lower_gamma_series(s: float, x: float):

@@ -8,8 +8,9 @@ of the expected power utility.
 
 Simulation is deterministic by construction: paths are split into
 fixed-size blocks, each block draws from its own counter-based stream
-derived from the master seed, and partial results are combined in block
-order, so the estimate is bit-identical for any worker count.
+derived from the master seed, with its normals in antithetic pairs inside
+the block, and partial results are combined in block order, so the
+estimate is bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -357,16 +358,55 @@ _SIMULATORS = {
 }
 
 
+class _AntitheticNormals:
+    """A block's generator whose standard normals come in mirrored pairs.
+
+    ``standard_normal(shape)`` draws ceil(n/2) values along the last (path)
+    axis of length n and writes their negation after them, so path i and
+    path i + ceil(n/2) form an antithetic pair (Glasserman, Monte Carlo
+    Methods in Financial Engineering, 2003, §4.2); in an odd block path
+    ceil(n/2) - 1 stays unpaired. The draws fill, row by row, one buffer
+    allocated per shape and overwritten by the next call, so a kernel must
+    not keep a returned array across draws. Every other method (Poisson,
+    exponential, uniform) is the block's own generator, unpaired.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._buf = np.empty(0)
+
+    def standard_normal(self, shape):
+        shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        if self._buf.shape != shape:
+            self._buf = np.empty(shape)
+        n = shape[-1]
+        half = (n + 1) // 2
+        for row in self._buf.reshape(-1, n):
+            self._rng.standard_normal(out=row[:half])
+        np.negative(self._buf[..., : n - half], out=self._buf[..., half:])
+        return self._buf
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
 def _simulate(block_fn, t, n_paths, n_steps, seed, workers, discretized=False):
     """Mean and standard error of ``block_fn`` over ``n_paths`` simulated paths.
 
     Checks the run shape, then runs ``block_fn(rng, size, t, n_steps)`` on
     fixed-size blocks of paths, serially or on ``workers`` threads. Block i
-    draws from its own Philox stream keyed by (seed, i) and the blocks are
-    combined in block order, so the result is the same for any ``workers``.
-    A time-stepped (``discretized``) scheme needs n_steps >= 10*t. Returns
-    ``(mean, std_error, run)``, ``run`` holding the coerced horizon_t,
-    n_paths, n_steps and seed.
+    draws from its own Philox stream keyed by (seed, i), wrapped so that its
+    normals come in antithetic pairs (``_AntitheticNormals``), and the
+    blocks are combined in block order, so the result is the same for any
+    ``workers``. A time-stepped (``discretized``) scheme needs
+    n_steps >= 10*t.
+
+    The mean is over all paths. The standard error is over the k independent
+    units, each a pair or an odd block's lone path: with U_j a unit's sum,
+    c_j its path count and m the mean,
+    SE^2 = k/(k-1) * sum_j (U_j - m*c_j)^2 / n_paths^2. Raises
+    DegenerateVariance when k < 2. Returns ``(mean, std_error, run)``,
+    ``run`` holding the coerced horizon_t, n_paths, n_steps and seed.
     """
     t, n_paths, n_steps, seed = float(t), int(n_paths), int(n_steps), int(seed)
     if not (math.isfinite(t) and t > 0.0):
@@ -378,6 +418,12 @@ def _simulate(block_fn, t, n_paths, n_steps, seed, workers, discretized=False):
             f"discretized models need n_steps >= 10*t, got {n_steps} for t={t}"
         )
     sizes = [min(BLOCK_SIZE, n_paths - start) for start in range(0, n_paths, BLOCK_SIZE)]
+    units = sum((size + 1) // 2 for size in sizes)
+    if units < 2:
+        raise DegenerateVariance(
+            "a standard error needs at least two independent path units "
+            f"(antithetic pairs or lone paths), got n_paths={n_paths}"
+        )
 
     def block(i):
         rng = np.random.Generator(
@@ -386,7 +432,7 @@ def _simulate(block_fn, t, n_paths, n_steps, seed, workers, discretized=False):
         # numpy's error state is per thread, so it is set here in the worker;
         # overflow and NaN surface below as NonFinitePath, not as warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            return block_fn(rng, sizes[i], t, n_steps)
+            return block_fn(_AntitheticNormals(rng), sizes[i], t, n_steps)
 
     if workers <= 1 or len(sizes) <= 1:
         values = np.concatenate([block(i) for i in range(len(sizes))])
@@ -400,9 +446,17 @@ def _simulate(block_fn, t, n_paths, n_steps, seed, workers, discretized=False):
             path_index=int(bad[0]),
             seed=seed,
         )
-    var = float(np.var(values, ddof=1)) if values.size > 1 else 0.0
+    mean = float(np.mean(values))
+    squares = 0.0
+    for start in range(0, n_paths, BLOCK_SIZE):
+        dev = values[start:start + BLOCK_SIZE] - mean
+        half = (dev.size + 1) // 2
+        unit = dev[:half]  # a pair's deviation is the sum of its paths'
+        unit[: dev.size - half] += dev[half:]
+        squares += float(np.dot(unit, unit))
+    se = math.sqrt(units / (units - 1) * squares) / n_paths
     run = dict(horizon_t=t, n_paths=n_paths, n_steps=n_steps, seed=seed)
-    return float(np.mean(values)), math.sqrt(var / values.size), run
+    return mean, se, run
 
 
 def mc_growth_estimate(

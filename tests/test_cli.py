@@ -419,6 +419,19 @@ def test_out_of_float_range_exits_2_naming_parameters(tmp_path, capsys, base, ch
     assert (out, err) == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("paths", ["1", "2"])
+@pytest.mark.parametrize("base, command", [(GBM_FLAT, "verify-mc"),
+                                           (THREE_HALVES_FLAT, "transform-3-2")],
+                         ids=["verify-mc", "transform-3-2"])
+def test_fewer_than_two_path_units_exit_2(tmp_path, capsys, base, command, paths):
+    # one path, or one antithetic pair, leaves no spread to take an error from
+    cfg = write(tmp_path, "u.cfg", base)
+    assert run([command, "--config", cfg, "--t", "1", "--paths", paths, "--steps", "10"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: a standard error needs at least two independent path "
+                              f"units (antithetic pairs or lone paths), got n_paths={paths}\n")
+
+
 def test_default_seed_reproducible(tmp_path):
     cfg = write(tmp_path, "g.cfg", GBM_FLAT)
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,8 +1,11 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from growthopt import (
@@ -64,6 +67,19 @@ def test_kummer_errors():
         kummer_m(1.0, -3.0, 0.5)
     with pytest.raises(DomainExceeded):
         kummer_m(1.0, 2.0, -701.0)
+
+
+# laplace_three_halves_finite_t calls M(a, b, -z) with a = R - c and
+# b = 1 + 2R, where R >= c >= 1/2, so b >= 2 + 2a; its z > 0 is capped so
+# that M's argument stays inside the supported |z| <= 700.
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(b=st.floats(2.0, 61.0), a_share=st.floats(0.0, 1.0), log10_z=st.floats(-4.0, 2.8))
+def test_kummer_error_estimate_bounds_the_error(b, a_share, log10_z):
+    a, z = a_share * (b - 2.0) / 2.0, -(10.0**log10_z)
+    res = kummer_m(a, b, z)
+    with mpmath.workdps(50):
+        err = abs(mpmath.mpf(res.value) - mpmath.hyp1f1(a, b, z))
+    assert err <= res.est_abs_error
 
 
 def test_kummer_derivative_identity():

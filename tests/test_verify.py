@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -99,6 +99,78 @@ def test_riccati_sign_structure_of_vector_field():
 def test_mc_single_path_degenerate_variance():
     with pytest.raises(DegenerateVariance):
         mc_growth_estimate(GBM, U, 0.5, 5.0, 1, 1, seed=2)
+
+
+@pytest.mark.parametrize("n_paths", [1, 2])
+@pytest.mark.parametrize("call", [
+    lambda n: mc_growth_estimate(GBM, U, 0.5, 5.0, n, 1, seed=2),
+    lambda n: mc_laplace_three_halves(THREE_HALVES, 0.1, 1.0, n, 10, seed=2),
+], ids=["growth", "laplace"])
+def test_mc_fewer_than_two_units_degenerate_variance(call, n_paths):
+    # two paths make one antithetic pair: a single unit, so no spread
+    with pytest.raises(DegenerateVariance, match=f"at least two independent path units.*"
+                                                 f"n_paths={n_paths}$"):
+        call(n_paths)
+
+
+def _philox(seed, block):
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(block,))))
+
+
+@pytest.mark.parametrize("size", [4, 5])
+def test_block_normals_come_in_mirrored_pairs(monkeypatch, size):
+    monkeypatch.setattr(verify, "BLOCK_SIZE", size)
+    drawn = []
+
+    def block_fn(rng, n, t, n_steps):
+        drawn.append((rng.standard_normal(n).copy(), rng.standard_normal((2, n)).copy(),
+                      rng.poisson(3.0, n), rng.exponential(size=n), rng.random(n)))
+        return np.zeros(n)
+
+    verify._simulate(block_fn, 1.0, 2 * size, 1, seed=11, workers=1)
+    half = (size + 1) // 2
+    paired = size - half  # in an odd block, path half - 1 has no partner
+    assert paired == (half if size % 2 == 0 else half - 1)
+    for block, (one, two, counts, exps, unif) in enumerate(drawn):
+        own = _philox(11, block)
+        assert np.array_equal(one[:half], own.standard_normal(half))
+        assert np.array_equal(two[:, :half], own.standard_normal((2, half)))
+        for z in (one, two):  # mirrored along the path axis, negated exactly
+            assert np.array_equal(z[..., half:], -z[..., :paired])
+        assert np.array_equal(counts, own.poisson(3.0, size))  # unpaired draws pass through
+        assert np.array_equal(exps, own.exponential(size=size))
+        assert np.array_equal(unif, own.random(size))
+
+
+def test_standard_error_is_taken_over_the_units(monkeypatch):
+    monkeypatch.setattr(verify, "BLOCK_SIZE", 5)
+    values = []
+
+    def block_fn(rng, n, t, n_steps):
+        values.append(rng.random(n))
+        return values[-1]
+
+    mean, se, _ = verify._simulate(block_fn, 1.0, 9, 1, seed=3, workers=1)
+    (v0, v1, v2, v3, v4), (v5, v6, v7, v8) = values
+    sums = np.array([v0 + v3, v1 + v4, v2, v5 + v7, v6 + v8])
+    counts = np.array([2, 2, 1, 2, 2])
+    assert mean == np.mean(np.concatenate(values))
+    k = sums.size
+    assert se == pytest.approx(math.sqrt(k / (k - 1) * np.sum((sums - mean * counts) ** 2)) / 9,
+                               rel=1e-12)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda seed: astuple(mc_growth_estimate(GBM, U, 1.0, 1.0, 2_000, 1, seed)),
+    lambda seed: astuple(mc_laplace_three_halves(THREE_HALVES, 0.125, 0.1, 2_000, 10, seed)),
+], ids=["gbm", "laplace"])
+def test_mc_standard_error_is_calibrated(estimate):
+    # the spread of the estimate over seeds is what the reported SE claims
+    runs = np.array([estimate(seed)[:2] for seed in range(1, 41)])
+    spread = np.std(runs[:, 0], ddof=1)
+    se = np.median(runs[:, 1])
+    assert 0.6 * se <= spread <= 1.6 * se
 
 
 def test_riccati_step_size_guard():
