@@ -130,14 +130,14 @@ def test_block_normals_come_in_mirrored_pairs(monkeypatch, size):
 
     verify._simulate(block_fn, 1.0, 2 * size, 1, seed=11, workers=1)
     half = (size + 1) // 2
-    paired = size - half  # in an odd block, path half - 1 has no partner
-    assert paired == (half if size % 2 == 0 else half - 1)
     for block, (one, two, counts, exps, unif) in enumerate(drawn):
         own = _philox(11, block)
         assert np.array_equal(one[:half], own.standard_normal(half))
         assert np.array_equal(two[:, :half], own.standard_normal((2, half)))
         for z in (one, two):  # mirrored along the path axis, negated exactly
-            assert np.array_equal(z[..., half:], -z[..., :paired])
+            assert np.array_equal(z[..., half:], -z[..., :size - half])
+        lone = [i for i in range(size) if -one[i] not in one]
+        assert lone == ([half - 1] if size % 2 else [])
         assert np.array_equal(counts, own.poisson(3.0, size))  # unpaired draws pass through
         assert np.array_equal(exps, own.exponential(size=size))
         assert np.array_equal(unif, own.random(size))
