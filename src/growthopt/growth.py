@@ -300,19 +300,21 @@ def _density_quad(f, lo, hi, abs_tol, fail_tol=None):
     return value
 
 
-def jump_utility_moment(law: JumpLaw, u: Utility, alpha: float) -> float:
-    """E[(alpha*(Y-1)+1)^theta] for the given jump law.
+def _jump_moment(law: JumpLaw, theta: float, a: ArrayLike) -> ArrayLike:
+    """E[(a*(Y-1)+1)^theta] for an already clamped alpha ``a``.
 
-    Constant and exponential laws use closed forms (the latter through a
-    scaled upper incomplete gamma); density laws are integrated adaptively
-    to 1e-9 absolute.
+    An array is evaluated point by point on Python floats, so each point
+    has the bits of the scalar call. Constant and exponential laws use
+    closed forms (the latter through a scaled upper incomplete gamma);
+    density laws are integrated adaptively to 1e-9 absolute.
     """
-    a = _clamp_alpha(float(alpha))
-    theta = u.theta
-    if a == 0.0:
-        return 1.0
+    if not isinstance(a, float):
+        points = [_jump_moment(law, theta, ai) for ai in a.ravel().tolist()]
+        return np.reshape(points, a.shape)
     if isinstance(law, ConstantJump):
         return (a * (law.y - 1.0) + 1.0) ** theta
+    if a == 0.0:
+        return 1.0
     if isinstance(law, ExponentialJump):
         return _exponential_moment(law.rate, theta, a)
     return _density_quad(
@@ -321,6 +323,11 @@ def jump_utility_moment(law: JumpLaw, u: Utility, alpha: float) -> float:
         law.bound,
         DENSITY_QUAD_ABS_TOL,
     )
+
+
+def jump_utility_moment(law: JumpLaw, u: Utility, alpha: float) -> float:
+    """E[(alpha*(Y-1)+1)^theta] for the given jump law and a scalar alpha."""
+    return _jump_moment(law, u.theta, _clamp_alpha(float(alpha)))
 
 
 def jump_derivative_moment(law: JumpLaw, u: Utility, alpha: float) -> float:
@@ -348,20 +355,11 @@ def jump_derivative_moment(law: JumpLaw, u: Utility, alpha: float) -> float:
 
 
 def lambda_jump(p: JumpDiffusionParams, u: Utility, alpha: ArrayLike) -> ArrayLike:
-    """Jump-diffusion growth rate.
-
-    A constant law is evaluated over an alpha array in one numpy power;
-    other laws go through ``jump_utility_moment`` point by point.
-    """
+    """Jump-diffusion growth rate: the diffusion part plus
+    lambda_j * (E[(alpha*(Y-1)+1)^theta] - 1), the moment taken point by point."""
     a = _clamp_alpha(alpha)
-    if np.ndim(a) == 0:
-        moment = jump_utility_moment(p.jump, u, a)
-    elif isinstance(p.jump, ConstantJump):
-        moment = (a * (p.jump.y - 1.0) + 1.0) ** u.theta
-    else:
-        moment = np.array([jump_utility_moment(p.jump, u, ai) for ai in a])
-    base = _diffusion_growth(p.mu, p.r, p.sigma, u.theta, a)
-    return base + p.lambda_j * (moment - 1.0)
+    moment = _jump_moment(p.jump, u.theta, a)
+    return _diffusion_growth(p.mu, p.r, p.sigma, u.theta, a) + p.lambda_j * (moment - 1.0)
 
 
 def lambda_vasicek(p: VasicekParams, u: Utility, alpha: ArrayLike) -> ArrayLike:

@@ -172,42 +172,43 @@ def _upper_gamma_cf(s: float, x: float):
     )
 
 
-def _check_gamma_args(s: float, x: float):
+def _gamma_args(s: float, x: float):
+    """(s, x) as floats, checked once for both public incomplete-gamma functions."""
+    s, x = float(s), float(x)
     if not (math.isfinite(s) and s > 0.0):
         raise OutOfRange(f"upper incomplete gamma requires s > 0, got s = {s}")
     if not (math.isfinite(x) and x >= 0.0):
         raise OutOfRange(f"upper incomplete gamma requires x >= 0, got x = {x}")
+    return s, x
+
+
+def _upper_gamma(s: float, x: float, scaled: bool) -> SpecFunResult:
+    """Gamma(s, x), times exp(x) when ``scaled``, for checked s > 0 and x >= 0.
+
+    Gamma(s) minus the lower series below x = s + 1, else the continued
+    fraction, whose front drops e^-x when scaled so that large x stays finite.
+    """
+    if x < s + 1.0:
+        gamma_s = math.exp(log_gamma(s))
+        value, est = gamma_s, 4e-15 * gamma_s
+        if x > 0.0:
+            total, trunc = _lower_gamma_series(s, x)
+            front = math.exp(-x + s * math.log(x))
+            lower = front * total
+            value, est = gamma_s - lower, front * trunc + 4e-15 * (gamma_s + lower)
+        scale = math.exp(x) if scaled else 1.0
+        return SpecFunResult(scale * value, scale * est)
+    h, trunc = _upper_gamma_cf(s, x)
+    front = math.exp(s * math.log(x) - (0.0 if scaled else x))
+    value = front * h
+    return SpecFunResult(value, front * trunc + 4e-15 * value)
 
 
 def upper_incomplete_gamma(s: float, x: float) -> SpecFunResult:
     """Upper incomplete gamma integral of t^(s-1) e^-t over [x, inf)."""
-    s, x = float(s), float(x)
-    _check_gamma_args(s, x)
-    gamma_s = math.exp(log_gamma(s))
-    if x == 0.0:
-        return SpecFunResult(gamma_s, 4e-15 * gamma_s)
-    if x < s + 1.0:
-        total, trunc = _lower_gamma_series(s, x)
-        front = math.exp(-x + s * math.log(x))
-        lower = front * total
-        value = gamma_s - lower
-        est = front * trunc + 4e-15 * (gamma_s + lower)
-        return SpecFunResult(value, est)
-    h, trunc = _upper_gamma_cf(s, x)
-    front = math.exp(-x + s * math.log(x))
-    value = front * h
-    return SpecFunResult(value, front * trunc + 4e-15 * value)
+    return _upper_gamma(*_gamma_args(s, x), scaled=False)
 
 
 def upper_incomplete_gamma_scaled(s: float, x: float) -> SpecFunResult:
     """exp(x) * Gamma(s, x), stable for large x where the plain product overflows."""
-    s, x = float(s), float(x)
-    _check_gamma_args(s, x)
-    if x < s + 1.0:
-        base = upper_incomplete_gamma(s, x)
-        scale = math.exp(x)
-        return SpecFunResult(scale * base.value, scale * base.est_abs_error)
-    h, trunc = _upper_gamma_cf(s, x)
-    front = math.exp(s * math.log(x))
-    value = front * h
-    return SpecFunResult(value, front * trunc + 4e-15 * value)
+    return _upper_gamma(*_gamma_args(s, x), scaled=True)

@@ -390,11 +390,11 @@ class _AntitheticNormals:
         return getattr(self._rng, name)
 
 
-def _simulate(block_fn, t, n_paths, n_steps, seed, workers, discretized=False):
+def _simulate(block_fn, t, n_paths, n_steps, seed, workers, discretized):
     """Mean and standard error of ``block_fn`` over ``n_paths`` simulated paths.
 
     Checks the run shape, then runs ``block_fn(rng, size, t, n_steps)`` on
-    fixed-size blocks of paths, serially or on ``workers`` threads. Block i
+    fixed-size blocks of paths on ``max(1, workers)`` threads. Block i
     draws from its own Philox stream keyed by (seed, i), wrapped so that its
     normals come in antithetic pairs (``_AntitheticNormals``), and the
     blocks are combined in block order, so the result is the same for any
@@ -404,9 +404,10 @@ def _simulate(block_fn, t, n_paths, n_steps, seed, workers, discretized=False):
     The mean is over all paths. The standard error is over the k independent
     units, each a pair or an odd block's lone path: with U_j a unit's sum,
     c_j its path count and m the mean,
-    SE^2 = k/(k-1) * sum_j (U_j - m*c_j)^2 / n_paths^2. Raises
-    DegenerateVariance when k < 2. Returns ``(mean, std_error, run)``,
-    ``run`` holding the coerced horizon_t, n_paths, n_steps and seed.
+    SE^2 = k/(k-1) * sum_j (U_j - m*c_j)^2 / n_paths^2, exactly 0.0 (and m
+    that value) when every path is equal. Raises DegenerateVariance when
+    k < 2. Returns ``(mean, std_error, run)``, ``run`` holding the coerced
+    horizon_t, n_paths, n_steps and seed.
     """
     t, n_paths, n_steps, seed = float(t), int(n_paths), int(n_steps), int(seed)
     if not (math.isfinite(t) and t > 0.0):
@@ -434,11 +435,8 @@ def _simulate(block_fn, t, n_paths, n_steps, seed, workers, discretized=False):
         with np.errstate(over="ignore", invalid="ignore"):
             return block_fn(_AntitheticNormals(rng), sizes[i], t, n_steps)
 
-    if workers <= 1 or len(sizes) <= 1:
-        values = np.concatenate([block(i) for i in range(len(sizes))])
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = np.concatenate(list(pool.map(block, range(len(sizes)))))
+    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+        values = np.concatenate(list(pool.map(block, range(len(sizes)))))
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise NonFinitePath(
@@ -446,6 +444,9 @@ def _simulate(block_fn, t, n_paths, n_steps, seed, workers, discretized=False):
             path_index=int(bad[0]),
             seed=seed,
         )
+    run = dict(horizon_t=t, n_paths=n_paths, n_steps=n_steps, seed=seed)
+    if (values == values[0]).all():  # np.mean need not return that value
+        return float(values[0]), 0.0, run
     mean = float(np.mean(values))
     squares = 0.0
     for start in range(0, n_paths, BLOCK_SIZE):
@@ -455,7 +456,6 @@ def _simulate(block_fn, t, n_paths, n_steps, seed, workers, discretized=False):
         unit[: dev.size - half] += dev[half:]
         squares += float(np.dot(unit, unit))
     se = math.sqrt(units / (units - 1) * squares) / n_paths
-    run = dict(horizon_t=t, n_paths=n_paths, n_steps=n_steps, seed=seed)
     return mean, se, run
 
 
@@ -524,5 +524,5 @@ def mc_laplace_three_halves(
             nu_cur = nu_next
         return np.exp(-lambda_l * integral)
 
-    m, se_m, run = _simulate(block_fn, t, n_paths, n_steps, seed, workers)
+    m, se_m, run = _simulate(block_fn, t, n_paths, n_steps, seed, workers, discretized=True)
     return LaplaceEstimate(mean=m, std_error=se_m, **run)

@@ -432,6 +432,17 @@ def test_fewer_than_two_path_units_exit_2(tmp_path, capsys, base, command, paths
                               f"units (antithetic pairs or lone paths), got n_paths={paths}\n")
 
 
+@pytest.mark.parametrize("base, command", [(HESTON_CFG, "verify-mc"),
+                                           (THREE_HALVES_FLAT, "transform-3-2")],
+                         ids=["verify-mc", "transform-3-2"])
+def test_time_stepped_runs_need_ten_steps_per_unit_time(tmp_path, capsys, base, command):
+    cfg = write(tmp_path, "s.cfg", base)
+    assert run([command, "--config", cfg, "--t", "10", "--paths", "100", "--steps", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: discretized models need n_steps >= 10*t, "
+                              "got 5 for t=10.0\n")
+
+
 def test_default_seed_reproducible(tmp_path):
     cfg = write(tmp_path, "g.cfg", GBM_FLAT)
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

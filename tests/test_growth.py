@@ -231,7 +231,7 @@ def test_growth_rate_divisor_underflow_raises_domain_exceeded():
         growth_rate(replace(THREE_HALVES, delta=1e-200), U, 0.5)
 
 
-@pytest.mark.parametrize("kind", ["heston", "three_halves"])
+@pytest.mark.parametrize("kind", sorted(DRAWERS))
 def test_scalar_rate_is_a_python_float_with_the_array_bits(kind):
     rng = np.random.default_rng(13)
     for _ in range(200):

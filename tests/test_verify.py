@@ -128,7 +128,7 @@ def test_block_normals_come_in_mirrored_pairs(monkeypatch, size):
                       rng.poisson(3.0, n), rng.exponential(size=n), rng.random(n)))
         return np.zeros(n)
 
-    verify._simulate(block_fn, 1.0, 2 * size, 1, seed=11, workers=1)
+    verify._simulate(block_fn, 1.0, 2 * size, 1, seed=11, workers=1, discretized=False)
     half = (size + 1) // 2
     for block, (one, two, counts, exps, unif) in enumerate(drawn):
         own = _philox(11, block)
@@ -151,7 +151,8 @@ def test_standard_error_is_taken_over_the_units(monkeypatch):
         values.append(rng.random(n))
         return values[-1]
 
-    mean, se, _ = verify._simulate(block_fn, 1.0, 9, 1, seed=3, workers=1)
+    mean, se, _ = verify._simulate(block_fn, 1.0, 9, 1, seed=3, workers=1,
+                                   discretized=False)
     (v0, v1, v2, v3, v4), (v5, v6, v7, v8) = values
     sums = np.array([v0 + v3, v1 + v4, v2, v5 + v7, v6 + v8])
     counts = np.array([2, 2, 1, 2, 2])
@@ -237,10 +238,22 @@ def test_mc_alpha_zero_deterministic():
         assert est.std_error <= 1e-12
 
 
+def test_mc_identical_paths_degenerate_variance():
+    # every path reads the same value, which np.mean need not reproduce exactly
+    flat = GbmParams(mu=0.05, sigma=1e-300, r=0.03)
+    with pytest.raises(DegenerateVariance, match="all simulated paths are identical"):
+        mc_growth_estimate(flat, U, 0.5, 1.0, 1_000, 1, seed=1)
+
+
+def test_mc_alpha_zero_gbm_has_exactly_zero_standard_error():
+    est = mc_growth_estimate(GBM, U, 0.0, 20.0, 2_000, 1, seed=5)
+    assert est.std_error == 0.0
+
+
 def test_mc_deterministic_across_workers_and_reruns():
     results = [
         mc_growth_estimate(HESTON, U, 0.5, 2.0, 40_000, 40, seed=77, workers=w)
-        for w in (1, 2, 8)
+        for w in (0, 1, 2, 8)  # 0 still runs on one worker
     ]
     assert len({(r.lambda_hat, r.std_error) for r in results}) == 1
     again = mc_growth_estimate(HESTON, U, 0.5, 2.0, 40_000, 40, seed=77, workers=2)
