@@ -179,29 +179,46 @@ def _jump_slope(p: JumpDiffusionParams, u: Utility, alpha: float) -> float:
 
 
 def optimal_jump(p: JumpDiffusionParams, u: Utility) -> AllocationDecision:
-    """Root of the strictly decreasing slope, found by bisection.
+    """Root of the strictly decreasing slope, by Illinois false position.
 
     The slope is closed form for constant and exponential laws but comes
-    from quadrature for density laws; bisection needs only its sign, so it
-    is preferred to Newton, whose steps would amplify quadrature error.
+    from quadrature for density laws. Its values only place the next probe
+    inside the bracket; its sign alone moves the bracket, so a quadrature
+    error can slow the search but never lose the root. Halving the slope
+    kept at an end that two steps in a row leave in place (the Illinois
+    rule; Dowell and Jarratt, BIT 11, 1971) makes false position converge
+    superlinearly. The search stops at |slope| <= 1e-12 or a bracket of at
+    most 1e-14.
     """
     theta = u.theta
     slope0 = theta * (p.mu - p.r) + p.lambda_j * theta * (p.jump.mean() - 1.0)
     if slope0 <= 0.0:
         return _decide(p, u, 0.0, CASE_BOND_ONLY)
-    if _jump_slope(p, u, 1.0) >= 0.0:
+    slope1 = _jump_slope(p, u, 1.0)
+    if slope1 >= 0.0:
         return _decide(p, u, 1.0, CASE_STOCK_ONLY)
-    lo, hi = 0.0, 1.0
-    dagger = 0.5
+    lo, hi, s_lo, s_hi = 0.0, 1.0, slope0, slope1
+    side = 0  # +1 after a step that moved lo, -1 after one that moved hi
     for _ in range(200):
-        dagger = 0.5 * (lo + hi)
+        # s_lo > 0 > s_hi, so neither sum below cancels
+        dagger = (lo * s_hi - hi * s_lo) / (s_hi - s_lo)
+        if not lo < dagger < hi:  # rounded onto an end, or NaN slopes
+            dagger = 0.5 * (lo + hi)
         s = _jump_slope(p, u, dagger)
-        if abs(s) <= 1e-12 or hi - lo <= 1e-14:
+        if abs(s) <= 1e-12:
             break
         if s > 0.0:
-            lo = dagger
+            lo, s_lo = dagger, s
+            if side > 0:
+                s_hi *= 0.5
+            side = 1
         else:
-            hi = dagger
+            hi, s_hi = dagger, s
+            if side < 0:
+                s_lo *= 0.5
+            side = -1
+        if hi - lo <= 1e-14:
+            break
     return _decide(p, u, dagger, CASE_INTERIOR, dagger)
 
 
@@ -279,6 +296,11 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -
     return 0.5 * (lo + hi)
 
 
+# numeric_argmax's grid, built once; read-only, because every call shares it.
+_ARGMAX_GRID = np.linspace(0.0, 1.0, 64)
+_ARGMAX_GRID.flags.writeable = False
+
+
 def numeric_argmax(model: ModelSpec, u: Utility) -> float:
     """Maximizer of the growth rate on [0, 1], independent of case analyses.
 
@@ -287,7 +309,7 @@ def numeric_argmax(model: ModelSpec, u: Utility) -> float:
     ends). That bracket holds the maximizer of a unimodal or convex rate;
     acceptance 03 checks concavity. Work: one array and <= 43 scalar calls.
     """
-    grid = np.linspace(0.0, 1.0, 64)
+    grid = _ARGMAX_GRID
     best = int(np.argmax(growth_rate(model, u, grid)))
     lo = float(grid[max(best - 1, 0)])
     hi = float(grid[min(best + 1, grid.size - 1)])

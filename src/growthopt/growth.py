@@ -73,8 +73,9 @@ R2_MIN = 2.0**-1000
 def _clamp_alpha(alpha: ArrayLike) -> ArrayLike:
     # Both tests are written so that NaN fails them instead of passing.
     # Scalars stay in Python floats: optimizers call the rates one alpha at
-    # a time, and numpy's per-call overhead dwarfs the arithmetic.
-    if np.ndim(alpha) == 0:
+    # a time, and numpy's per-call overhead dwarfs the arithmetic. Floats
+    # (np.float64 among them) skip np.ndim, which costs more than the clamp.
+    if isinstance(alpha, float) or np.ndim(alpha) == 0:
         a = float(alpha)
         if not -ALPHA_SLACK <= a <= 1.0 + ALPHA_SLACK:
             raise OutOfRange(f"alpha must lie in [0, 1], got {alpha!r}")

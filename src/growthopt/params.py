@@ -301,8 +301,18 @@ _MODEL_CLASSES = {
 _JUMP_LAWS = {"constant": (ConstantJump, "jump_y"), "exponential": (ExponentialJump, "jump_rate")}
 
 
+_KIND_OF_CLASS = {cls: kind for kind, cls in _MODEL_CLASSES.items()}
+
+
 def kind_of(model) -> str:
-    """Kind name of a parameter record; OutOfRange for any other object."""
+    """Kind name of a parameter record; OutOfRange for any other object.
+
+    The exact class is looked up first, since the rates call this once per
+    alpha; the isinstance loop serves subclasses of the records.
+    """
+    kind = _KIND_OF_CLASS.get(type(model))
+    if kind is not None:
+        return kind
     for kind, cls in _MODEL_CLASSES.items():
         if isinstance(model, cls):
             return kind

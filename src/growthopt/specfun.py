@@ -31,6 +31,13 @@ _REL_TOL = 1e-17
 _FPMIN = 1e-300
 _UNIT_ROUNDOFF = 2.0**-53
 
+# The continued fraction stops only when its delta rounds to exactly 1.0,
+# and from b0 = 2^54 (ulp 4) its b0 += 2.0 no longer moves b0, so it fails
+# from x near 2.8e16. From x = 2^53 two terms of the asymptotic series take
+# over: up to s = 2^26 the third, (s-1)(s-2)/x^2, is below 2^-54 of the first.
+_ASYMPTOTIC_MIN_X = 2.0**53
+_ASYMPTOTIC_MAX_S = 2.0**26
+
 
 @dataclass(frozen=True)
 class SpecFunResult:
@@ -51,26 +58,26 @@ def log_gamma(x: float) -> float:
     return _lanczos_lgamma(x)
 
 
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _lanczos_lgamma(x: float) -> float:
+    # The Lanczos sum c0 + c1/(x-1+1) + ... + c8/(x-1+8), unrolled: Python
+    # adds left to right, so these are the additions of a loop, in its order.
     xm1 = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (xm1 + i)
+    acc = (
+        0.99999999999980993
+        + 676.5203681218851 / (xm1 + 1.0)
+        + -1259.1392167224028 / (xm1 + 2.0)
+        + 771.32342877765313 / (xm1 + 3.0)
+        + -176.61502916214059 / (xm1 + 4.0)
+        + 12.507343278686905 / (xm1 + 5.0)
+        + -0.13857109526572012 / (xm1 + 6.0)
+        + 9.9843695780195716e-6 / (xm1 + 7.0)
+        + 1.5056327351493116e-7 / (xm1 + 8.0)
+    )
     t = xm1 + 7.5
-    return 0.5 * math.log(2.0 * math.pi) + (xm1 + 0.5) * math.log(t) - t + math.log(acc)
+    return _HALF_LOG_2PI + (xm1 + 0.5) * math.log(t) - t + math.log(acc)
 
 
 def _kummer_series(a: float, b: float, z: float):
@@ -142,8 +149,8 @@ def _lower_gamma_series(s: float, x: float):
         ap += 1.0
         term *= x / ap
         total += term
-        if abs(term) < abs(total) * _REL_TOL:
-            return total, abs(term)
+        if term < total * _REL_TOL:  # x > 0, so every term is positive
+            return total, term
     raise DomainExceeded(f"incomplete gamma series did not converge for (s={s}, x={x})")
 
 
@@ -153,19 +160,25 @@ def _upper_gamma_cf(s: float, x: float):
     c = 1.0 / _FPMIN
     d = 1.0 / b0
     h = d
-    for i in range(1, _MAX_TERMS):
+    # A float count keeps -i*(i - s) in float arithmetic (the same values, as
+    # i is a small integer), and the tests below spell _FPMIN and _REL_TOL
+    # out, so that no bound costs a global load or a negation per step.
+    i = 0.0
+    last = _MAX_TERMS - 1.0
+    while i < last:
+        i += 1.0
         an = -i * (i - s)
         b0 += 2.0
         d = an * d + b0
-        if abs(d) < _FPMIN:
-            d = _FPMIN
+        if -1e-300 < d < 1e-300:
+            d = 1e-300
         c = b0 + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
+        if -1e-300 < c < 1e-300:
+            c = 1e-300
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _REL_TOL:
+        if -1e-17 < delta - 1.0 < 1e-17:
             return h, abs(delta - 1.0) * abs(h)
     raise DomainExceeded(
         f"incomplete gamma continued fraction did not converge for (s={s}, x={x})"
@@ -185,23 +198,44 @@ def _gamma_args(s: float, x: float):
 def _upper_gamma(s: float, x: float, scaled: bool) -> SpecFunResult:
     """Gamma(s, x), times exp(x) when ``scaled``, for checked s > 0 and x >= 0.
 
-    Gamma(s) minus the lower series below x = s + 1, else the continued
-    fraction, whose front drops e^-x when scaled so that large x stays finite.
+    Two terms of the asymptotic series from x = 2^53, Gamma(s) minus the
+    lower series below x = s + 1, else the continued fraction, whose front
+    drops e^-x when scaled so that large x stays finite. Raises
+    DomainExceeded when Gamma(s), exp(x) or the result leaves the float range.
     """
-    if x < s + 1.0:
-        gamma_s = math.exp(log_gamma(s))
-        value, est = gamma_s, 4e-15 * gamma_s
-        if x > 0.0:
-            total, trunc = _lower_gamma_series(s, x)
-            front = math.exp(-x + s * math.log(x))
-            lower = front * total
-            value, est = gamma_s - lower, front * trunc + 4e-15 * (gamma_s + lower)
-        scale = math.exp(x) if scaled else 1.0
-        return SpecFunResult(scale * value, scale * est)
-    h, trunc = _upper_gamma_cf(s, x)
-    front = math.exp(s * math.log(x) - (0.0 if scaled else x))
-    value = front * h
-    return SpecFunResult(value, front * trunc + 4e-15 * value)
+    try:
+        if x >= _ASYMPTOTIC_MIN_X and s <= _ASYMPTOTIC_MAX_S:
+            # e^x Gamma(s, x) ~ x^(s-1) (1 + (s-1)/x + (s-1)(s-2)/x^2 + ...)
+            # (DLMF 8.11.2). Unscaled, e^-x puts the value below the float range.
+            value = est = 0.0
+            if scaled:
+                # s - 1 is exact from s = 1/2, and a rounded exponent would
+                # be multiplied by log(x); x^s overflows long before x^(s-1).
+                front = x ** (s - 1.0) if s >= 0.5 else x**s / x
+                value = front * (1.0 + (s - 1.0) / x)
+                est = abs(front * ((s - 1.0) * (s - 2.0) / x / x)) + 4e-15 * value
+        elif x < s + 1.0:
+            gamma_s = math.exp(log_gamma(s))
+            value, est = gamma_s, 4e-15 * gamma_s
+            if x > 0.0:
+                total, trunc = _lower_gamma_series(s, x)
+                front = math.exp(-x + s * math.log(x))
+                lower = front * total
+                value, est = gamma_s - lower, front * trunc + 4e-15 * (gamma_s + lower)
+            scale = math.exp(x) if scaled else 1.0
+            value, est = scale * value, scale * est
+        else:
+            h, trunc = _upper_gamma_cf(s, x)
+            front = math.exp(s * math.log(x) - (0.0 if scaled else x))
+            value = front * h
+            est = front * trunc + 4e-15 * value
+    except OverflowError:
+        value = est = math.inf
+    if not (math.isfinite(value) and math.isfinite(est)):
+        raise DomainExceeded(
+            f"upper incomplete gamma leaves the float range at (s={s}, x={x})"
+        )
+    return SpecFunResult(value, est)
 
 
 def upper_incomplete_gamma(s: float, x: float) -> SpecFunResult:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from growthopt import allocate
 from growthopt import (
     ConstantJump,
+    DensityJump,
     DomainExceeded,
     ExponentialJump,
     GbmParams,
@@ -28,7 +29,7 @@ from growthopt import (
 )
 
 from reference import assert_variance_model_matches, variance_argmax, variance_rate
-from support import DRAWERS, draw_utility
+from support import DRAWERS, draw_jump, draw_utility
 
 U = Utility(0.5)
 
@@ -152,6 +153,39 @@ def test_jump_interior_bracketing_and_numeric():
     assert one_sided_slope(p, U, 0.0) > 0.0
     assert one_sided_slope(p, U, 1.0) < 0.0
     assert abs(d.alpha_star - numeric_argmax(p, U)) <= 1e-6
+
+
+def test_jump_root_finder_takes_few_slopes_and_keeps_a_sign_change(monkeypatch):
+    # Interior draws of both closed-form laws, plus a quadrature (density) law.
+    rng = np.random.default_rng(14)
+    interior = {ExponentialJump: [], ConstantJump: []}
+    while min(len(found) for found in interior.values()) < 10:
+        p, u = draw_jump(rng), draw_utility(rng)
+        if optimal_jump(p, u).case_label == "Interior":
+            interior[type(p.jump)].append((p, u))
+    uniform = DensityJump(density=lambda y: 1.0 / 3.0, bound=3.0)
+    density = JumpDiffusionParams(mu=0.08, sigma=0.25, lambda_j=1.0, jump=uniform, r=0.03)
+    cases = [*interior[ExponentialJump][:10], *interior[ConstantJump][:10], (density, Utility(0.3))]
+
+    slope = allocate._jump_slope
+    probes = []
+
+    def counted(p, u, alpha):
+        s = slope(p, u, alpha)
+        probes.append((alpha, s))
+        return s
+
+    monkeypatch.setattr(allocate, "_jump_slope", counted)
+    for p, u in cases:
+        probes.clear()
+        d = optimal_jump(p, u)
+        assert d.case_label == "Interior"
+        assert len(probes) <= 20  # bisection took up to 42
+        lo = max((a for a, s in probes if s > 0.0), default=0.0)
+        hi = min((a for a, s in probes if s < 0.0), default=1.0)
+        assert lo <= d.alpha_star <= hi
+        assert slope(p, u, lo) > 0.0 > slope(p, u, hi)
+        assert abs(d.alpha_star - numeric_argmax(p, u)) <= 1e-6
 
 
 def test_vasicek_convex_tie_goes_to_bond():

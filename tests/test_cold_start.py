@@ -16,7 +16,7 @@ from support import REFERENCE_CONFIGS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Its optimum is Interior, so optimal_jump bisects on the exponential slope.
+# Its optimum is Interior, so optimal_jump searches the exponential slope for its root.
 EXPONENTIAL_INTERIOR = (
     "model.kind = jump\nmodel.mu = 0.05\nmodel.sigma = 0.3\n"
     "model.lambda_j = 0.5\nmodel.jump_kind = exponential\n"

@@ -32,7 +32,8 @@ from growthopt import (
     optimal_allocation,
 )
 
-from growthopt.growth import SLOPE_SERIES_MIN_X, _clamp_alpha
+from growthopt import growth, specfun
+from growthopt.growth import ALPHA_SLACK, SLOPE_SERIES_MIN_X, _clamp_alpha
 from reference import (
     assert_variance_model_matches,
     exponential_slope_reference,
@@ -96,6 +97,70 @@ def test_growth_rate_rejects_nan_alpha(model):
 def test_clamp_alpha_returns_python_float_for_scalars(alpha):
     a = _clamp_alpha(alpha)
     assert type(a) is float and a == 0.25
+
+
+def _clamp_alpha_by_ndim(alpha):
+    """_clamp_alpha's scalar branch as it reads without the float shortcut."""
+    assert np.ndim(alpha) == 0
+    a = float(alpha)
+    if not -ALPHA_SLACK <= a <= 1.0 + ALPHA_SLACK:
+        raise OutOfRange(f"alpha must lie in [0, 1], got {alpha!r}")
+    return min(max(a, 0.0), 1.0)
+
+
+SCALAR_ALPHAS = [
+    0.25, np.float64(0.25), 0, 1, True, False, np.int64(1), np.array(0.25), np.array(1),
+    -ALPHA_SLACK, 1.0 + ALPHA_SLACK, np.float64(-ALPHA_SLACK), np.float64(1.0 + ALPHA_SLACK),
+    math.nextafter(-ALPHA_SLACK, -1.0), math.nextafter(1.0 + ALPHA_SLACK, 2.0),
+    np.nextafter(-ALPHA_SLACK, -1.0), np.array(math.nextafter(1.0 + ALPHA_SLACK, 2.0)),
+    -0.0, 2, -1, math.nan, np.float64(math.nan), np.array(math.nan), math.inf, -math.inf,
+]
+
+
+@pytest.mark.parametrize("alpha", SCALAR_ALPHAS, ids=repr)
+def test_clamp_alpha_float_shortcut_matches_the_ndim_path(alpha):
+    try:
+        want = _clamp_alpha_by_ndim(alpha)
+    except OutOfRange as exc:
+        with pytest.raises(OutOfRange) as raised:
+            _clamp_alpha(alpha)
+        assert str(raised.value) == str(exc)
+        return
+    got = _clamp_alpha(alpha)
+    assert type(got) is type(want) is float
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def test_exponential_rate_reaches_specfun_through_module_attributes(monkeypatch):
+    # Span tracers wrap public functions where callers look them up; an
+    # exponential-law rate must keep reaching these two through them.
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(growth, "upper_incomplete_gamma_scaled")
+    count(specfun, "log_gamma")
+    model = replace(JUMP_EXPONENTIAL, jump=ExponentialJump(rate=1.0))
+    # x = rate*(1/alpha - 1) = 1/9 lies below s + 1, where Gamma(s) is needed.
+    growth_rate(model, U, 0.9)
+    assert calls["upper_incomplete_gamma_scaled"] > 0 and calls["log_gamma"] > 0
+    calls.clear()
+    growth_curve(model, U, 11)
+    assert calls["upper_incomplete_gamma_scaled"] > 0 and calls["log_gamma"] > 0
+
+
+@pytest.mark.parametrize("alpha", [1e-16, 3e-18, 1e-19, 1e-300])
+def test_exponential_rate_near_the_bond(alpha):
+    # x = 1/alpha - 1 passes 2^53, where the continued fraction cannot converge
+    model = JumpDiffusionParams(mu=0.05, sigma=0.25, lambda_j=1.0, jump=ExponentialJump(rate=1.0), r=0.03)
+    assert growth_rate(model, U, alpha) == pytest.approx(0.015, abs=1e-15)
 
 
 def test_growth_rate_rejects_unsupported_model():

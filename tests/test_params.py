@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from growthopt import (
     validate,
 )
 
+from growthopt.params import kind_of
 from support import DRAWERS
 
 
@@ -259,3 +261,12 @@ def test_fields_are_stored_as_python_floats():
     assert all(type(getattr(p, name)) is float for name in HESTON_OK)
     assert type(Utility(np.float64(0.5)).theta) is float
     assert type(DensityJump(density=_exp_density_on_40, bound=40).bound) is float
+
+
+@pytest.mark.parametrize("kind", sorted(DRAWERS))
+def test_kind_of_accepts_a_subclass_of_each_record(kind):
+    # kind_of looks the exact class up first; a subclass takes the isinstance loop.
+    record = DRAWERS[kind](np.random.default_rng(14))
+    subclass = type(f"Sub{type(record).__name__}", (type(record),), {})
+    derived = subclass(**{f.name: getattr(record, f.name) for f in fields(record)})
+    assert kind_of(record) == kind_of(derived) == kind

@@ -10,6 +10,7 @@ from scipy import integrate
 
 from growthopt import (
     DomainExceeded,
+    GrowthOptError,
     OutOfRange,
     PoleAtB,
     kummer_m,
@@ -17,6 +18,7 @@ from growthopt import (
     upper_incomplete_gamma,
     upper_incomplete_gamma_scaled,
 )
+from growthopt.specfun import _lanczos_lgamma, _lower_gamma_series, _upper_gamma_cf
 
 # 200-term exact-rational series value of M(1/2, 3/2, -1/4).
 KUMMER_HALF_ORACLE = 0.9225620128255849
@@ -155,6 +157,102 @@ def test_scaled_upper_gamma_huge_x():
     value = upper_incomplete_gamma_scaled(1.5, 800.0).value
     assert value == pytest.approx(math.sqrt(800.0), rel=1e-2)
     assert math.isfinite(value)
+
+
+LARGE_X = [1e15, 3e15, 9e15, 2.0**53, 9.1e15, 2.8e16, 1e17, 1e19, 1e50, 1e150, 1e300, 1.7e308]
+
+
+@pytest.mark.parametrize("s", [0.05, 0.3, 0.5, 1.0, 1.5, 1.95, 2.0, 3.7])
+def test_scaled_upper_gamma_large_x_against_mpmath(s):
+    for x in LARGE_X:
+        with mpmath.workdps(40):
+            ref = mpmath.exp(mpmath.mpf(x)) * mpmath.gammainc(s, x)
+        if ref > mpmath.mpf(1.7976931348623157e308):
+            with pytest.raises(DomainExceeded):
+                upper_incomplete_gamma_scaled(s, x)
+            continue
+        res = upper_incomplete_gamma_scaled(s, x)
+        err = abs(mpmath.mpf(res.value) - ref)
+        if x >= 2.0**53:  # two terms of the asymptotic series
+            assert err <= res.est_abs_error
+            assert err <= 4e-16 * ref
+        else:  # continued fraction: its front exp(s log x) loses up to s*log(x) ulps
+            assert err <= 1e-13 * ref
+        assert upper_incomplete_gamma(s, x).value == 0.0  # e^-x underflows
+
+
+def test_incomplete_gamma_out_of_float_range_raises_a_typed_error():
+    # Gamma(s) overflows from s = 171.6, exp(x) from x = 709.8.
+    rng = np.random.default_rng(2000)
+    raised = 0
+    for s, x in zip(np.exp(rng.uniform(math.log(100.0), math.log(400.0), 1000)).tolist(),
+                    rng.uniform(1.0, 5000.0, 1000).tolist()):
+        for fn in (upper_incomplete_gamma, upper_incomplete_gamma_scaled):
+            try:
+                res = fn(s, x)
+            except GrowthOptError:
+                raised += 1
+                continue
+            assert math.isfinite(res.value) and math.isfinite(res.est_abs_error)
+    assert raised > 0
+
+
+def test_lanczos_sum_has_the_bits_of_its_loop():
+    coef = (
+        0.99999999999980993, 676.5203681218851, -1259.1392167224028,
+        771.32342877765313, -176.61502916214059, 12.507343278686905,
+        -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7,
+    )
+
+    def looped(x):
+        xm1 = x - 1.0
+        acc = coef[0]
+        for i, c in enumerate(coef[1:], start=1):
+            acc += c / (xm1 + i)
+        t = xm1 + 7.5
+        return 0.5 * math.log(2.0 * math.pi) + (xm1 + 0.5) * math.log(t) - t + math.log(acc)
+
+    xs = np.geomspace(0.5, 1e300, 3000).tolist() + np.linspace(0.5, 3.0, 1001).tolist()
+    assert all(_lanczos_lgamma(x) == looped(x) for x in xs)
+
+
+def test_incomplete_gamma_loops_have_the_bits_of_their_reference_loops():
+    def series(s, x):
+        ap, term = s, 1.0 / s
+        total = term
+        for _ in range(2000):
+            ap += 1.0
+            term *= x / ap
+            total += term
+            if abs(term) < abs(total) * 1e-17:
+                return total, abs(term)
+
+    def continued_fraction(s, x):
+        b0 = x + 1.0 - s
+        c, d = 1.0 / 1e-300, 1.0 / b0
+        h = d
+        for i in range(1, 2000):
+            an = -i * (i - s)
+            b0 += 2.0
+            d = an * d + b0
+            if abs(d) < 1e-300:
+                d = 1e-300
+            c = b0 + an / c
+            if abs(c) < 1e-300:
+                c = 1e-300
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+            if abs(delta - 1.0) < 1e-17:
+                return h, abs(delta - 1.0) * abs(h)
+
+    rng = np.random.default_rng(14)
+    for s in np.exp(rng.uniform(math.log(1e-3), math.log(60.0), 400)).tolist():
+        for x in np.exp(rng.uniform(math.log(1e-8), math.log(1e4), 5)).tolist():
+            if x < s + 1.0:
+                assert _lower_gamma_series(s, x) == series(s, x)
+            else:
+                assert _upper_gamma_cf(s, x) == continued_fraction(s, x)
 
 
 # log-gamma reference values frozen from a 40-digit computation.
