@@ -3,12 +3,13 @@
 Self-contained double-precision implementations (Taylor series, Lentz
 continued fractions, Lanczos) tuned for the argument ranges the growth
 formulas actually hit. Each routine reports an estimated absolute error
-derived from its truncation criterion.
+derived from its truncation criterion and the rounding of its steps.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainExceeded, OutOfRange, PoleAtB
@@ -30,6 +31,11 @@ _MAX_TERMS = 2000
 _REL_TOL = 1e-17
 _FPMIN = 1e-300
 _UNIT_ROUNDOFF = 2.0**-53
+_FLOAT_MAX = sys.float_info.max
+_LOG_FLOAT_MAX = math.log(_FLOAT_MAX)
+# A subnormal exp(), and its product with a factor below 1, each round by
+# at most half the smallest subnormal.
+_SUBNORMAL_ROUNDING = 2.0**-1074
 
 # The continued fraction stops only when its delta rounds to exactly 1.0,
 # and from b0 = 2^54 (ulp 4) its b0 += 2.0 no longer moves b0, so it fails
@@ -48,14 +54,26 @@ class SpecFunResult:
 
 
 def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0 (Lanczos, g = 7)."""
+    """Natural log of the gamma function for x > 0 (Lanczos, g = 7).
+
+    Raises DomainExceeded from x near 2.6e305, where log Gamma(x) itself
+    leaves the float range.
+    """
     x = float(x)
     if not (math.isfinite(x) and x > 0.0):
         raise OutOfRange(f"log_gamma requires x > 0, got {x}")
     if x < 0.5:
-        # Reflection keeps the Lanczos sum well conditioned near zero.
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    return _lanczos_lgamma(x)
+        # Reflection keeps the Lanczos sum well conditioned near zero. Below
+        # x near 5.6e-309 pi/sin(pi x) overflows, and log Gamma(x) is -log(x)
+        # to within 0.58x.
+        q = math.pi / math.sin(math.pi * x)
+        if q > _FLOAT_MAX:
+            return -math.log(x)
+        return math.log(q) - log_gamma(1.0 - x)
+    value = _lanczos_lgamma(x)
+    if value > _FLOAT_MAX:  # (x - 1/2)*log(x + 13/2) overflowed
+        raise DomainExceeded(f"log_gamma leaves the float range at x = {x}")
+    return value
 
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -155,7 +173,12 @@ def _lower_gamma_series(s: float, x: float):
 
 
 def _upper_gamma_cf(s: float, x: float):
-    """Lentz continued fraction: Gamma(s,x) = e^-x x^s * h, returns (h, delta)."""
+    """Lentz continued fraction: Gamma(s,x) = e^-x x^s * h.
+
+    Returns (h, its truncation error, the step count). The stop test needs
+    delta to round to exactly 1.0, and a delta that keeps rounding to 1 - u
+    shrinks h by u a step, so the rounding grows with the step count.
+    """
     b0 = x + 1.0 - s
     c = 1.0 / _FPMIN
     d = 1.0 / b0
@@ -179,10 +202,20 @@ def _upper_gamma_cf(s: float, x: float):
         delta = d * c
         h *= delta
         if -1e-17 < delta - 1.0 < 1e-17:
-            return h, abs(delta - 1.0) * abs(h)
+            return h, abs(delta - 1.0) * abs(h), i
     raise DomainExceeded(
         f"incomplete gamma continued fraction did not converge for (s={s}, x={x})"
     )
+
+
+def _front_rounding(s_log_x: float, power: float) -> float:
+    """Relative error bound of exp(power), power = s*log(x) or s*log(x) - x.
+
+    log, the product and the subtraction each round by at most u of their
+    result, and exp turns that absolute error of its argument into a
+    relative one; 4e-15 covers exp itself and the rest of the evaluation.
+    """
+    return 4e-15 + (2.0 * abs(s_log_x) + abs(power)) * _UNIT_ROUNDOFF
 
 
 def _gamma_args(s: float, x: float):
@@ -215,20 +248,40 @@ def _upper_gamma(s: float, x: float, scaled: bool) -> SpecFunResult:
                 value = front * (1.0 + (s - 1.0) / x)
                 est = abs(front * ((s - 1.0) * (s - 2.0) / x / x)) + 4e-15 * value
         elif x < s + 1.0:
-            gamma_s = math.exp(log_gamma(s))
-            value, est = gamma_s, 4e-15 * gamma_s
+            lg = log_gamma(s)
+            gamma_s = math.exp(lg)
+            # exp turns the absolute error of the Lanczos log into a relative
+            # one: a few roundings of its terms, which reach about three times
+            # |log Gamma(s)| (near s = 2, where that is small, the 4e-15).
+            value = gamma_s
+            est = gamma_s_err = (4e-15 + 16.0 * _UNIT_ROUNDOFF * abs(lg)) * gamma_s
             if x > 0.0:
                 total, trunc = _lower_gamma_series(s, x)
-                front = math.exp(-x + s * math.log(x))
+                s_log_x = s * math.log(x)
+                power = -x + s_log_x
+                front = math.exp(power)
                 lower = front * total
-                value, est = gamma_s - lower, front * trunc + 4e-15 * (gamma_s + lower)
+                value = gamma_s - lower
+                est = front * trunc + gamma_s_err + _front_rounding(s_log_x, power) * lower
             scale = math.exp(x) if scaled else 1.0
             value, est = scale * value, scale * est
         else:
-            h, trunc = _upper_gamma_cf(s, x)
-            front = math.exp(s * math.log(x) - (0.0 if scaled else x))
+            h, trunc, steps = _upper_gamma_cf(s, x)
+            log_x = math.log(x)
+            s_log_x = s * log_x
+            power = s_log_x - (0.0 if scaled else x)
+            if power > _LOG_FLOAT_MAX:
+                # x^s overflows where the value, about x^(s-1), need not
+                front = math.exp(power - log_x)
+                h, trunc = h * x, trunc * x
+            else:
+                front = math.exp(power)
             value = front * h
-            est = front * trunc + 4e-15 * value
+            # each step rounds its delta and the product h *= delta, and
+            # feeds the roundings of its c and d into the next (Kummer's
+            # series is charged the same eight per term)
+            rounding = _front_rounding(s_log_x, power) + 8.0 * steps * _UNIT_ROUNDOFF
+            est = front * trunc + rounding * value + _SUBNORMAL_ROUNDING
     except OverflowError:
         value = est = math.inf
     if not (math.isfinite(value) and math.isfinite(est)):

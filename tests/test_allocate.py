@@ -242,6 +242,60 @@ def test_numeric_argmax_fallback_work_is_bounded(monkeypatch):
         assert float(growth_rate(p, U, best.alpha_star)) - float(growth_rate(p, U, numeric)) <= 1e-10
 
 
+def counted_argmax(monkeypatch, model, u):
+    """numeric_argmax, with the size of each growth_rate argument it passes."""
+    sizes = []
+
+    def counting_rate(model, u, alpha):
+        sizes.append(np.size(alpha))
+        return growth_rate(model, u, alpha)
+
+    monkeypatch.setattr(allocate, "growth_rate", counting_rate)
+    try:
+        return allocate.numeric_argmax(model, u), sizes
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("excess", [1e-8, 3e-9])
+def test_numeric_argmax_end_probe_that_rounds_equal_does_not_settle(monkeypatch, excess):
+    # alpha* = 8e-6 and 2.4e-6, inside the grid's first cell; the rate at the
+    # probe 1e-10 rounds equal to the rate at 0, so the end is not certified.
+    p = GbmParams(mu=0.03 + excess, sigma=0.05, r=0.03)
+    numeric, sizes = counted_argmax(monkeypatch, p, U)
+    assert sizes[:2] == [64, 1] and len(sizes) == 44
+    assert abs(numeric - optimal_gbm(p, U).alpha_star) <= 1e-6
+
+
+def test_numeric_argmax_settles_an_end_with_one_probe(monkeypatch):
+    for p, end in [(GbmParams(mu=0.01, sigma=0.2, r=0.03), 0.0),
+                   (GbmParams(mu=0.08, sigma=0.2, r=0.03), 1.0)]:
+        numeric, sizes = counted_argmax(monkeypatch, p, U)
+        assert sizes == [64, 1]
+        assert numeric == end == optimal_gbm(p, U).alpha_star
+
+
+def test_numeric_argmax_is_golden_section_unless_an_end_is_settled(monkeypatch):
+    models = [(GbmParams(mu=0.03 + excess, sigma=0.05, r=0.03), U) for excess in (1e-8, 3e-9)]
+    rng = np.random.default_rng(15)
+    for draw in DRAWERS.values():
+        models += [(draw(rng), draw_utility(rng)) for _ in range(40)]
+    grid = np.linspace(0.0, 1.0, 64)
+    kinds = {"interior": 0, "end": 0}
+    for model, u in models:
+        numeric, sizes = counted_argmax(monkeypatch, model, u)
+        if sizes == [64, 1]:
+            continue
+        best = int(np.argmax(growth_rate(model, u, grid)))
+        kinds["end" if best in (0, 63) else "interior"] += 1
+        want = allocate._golden_max(
+            lambda a: growth_rate(model, u, a),
+            float(grid[max(best - 1, 0)]), float(grid[min(best + 1, 63)]), allocate.GOLDEN_TOL,
+        )
+        assert numeric == want
+    assert kinds["interior"] > 0 and kinds["end"] > 0, kinds
+
+
 @pytest.mark.parametrize("name", sorted(DRAWERS))
 def test_closed_form_matches_numeric_argmax(name):
     rng = np.random.default_rng(hash(name) % 2**32)

@@ -181,6 +181,51 @@ def test_scaled_upper_gamma_large_x_against_mpmath(s):
         assert upper_incomplete_gamma(s, x).value == 0.0  # e^-x underflows
 
 
+def mpmath_upper_gamma(s, x, scaled):
+    with mpmath.workdps(40):
+        value = mpmath.gammainc(s, x)
+        return value * mpmath.exp(mpmath.mpf(x)) if scaled else value
+
+
+def assert_error_within_estimate(fn, s, x):
+    res = fn(s, x)
+    ref = mpmath_upper_gamma(s, x, fn is upper_incomplete_gamma_scaled)
+    with mpmath.workdps(40):
+        assert abs(mpmath.mpf(res.value) - ref) <= res.est_abs_error, (fn.__name__, s, x)
+
+
+@pytest.mark.parametrize("s, x", [(1.5, 3e15), (3.7, 3e15), (12.0, 9e15)])
+def test_continued_fraction_estimate_charges_the_rounding_of_its_front(s, x):
+    # exp(s*log(x)) turns the rounding of s*log(x), about 440 at (12, 9e15),
+    # into a relative error of that many u
+    assert_error_within_estimate(upper_incomplete_gamma_scaled, s, x)
+
+
+def test_scaled_upper_gamma_estimate_bounds_the_error_below_two_to_the_53():
+    rng = np.random.default_rng(1513)
+    checked = 0
+    for s, x in zip(np.exp(rng.uniform(math.log(1e-3), math.log(60.0), 300)).tolist(),
+                    np.exp(rng.uniform(math.log(1e13), math.log(2.0**53), 300)).tolist()):
+        if mpmath_upper_gamma(s, x, True) > mpmath.mpf(1.7976931348623157e308):
+            with pytest.raises(DomainExceeded):
+                upper_incomplete_gamma_scaled(s, x)
+            continue
+        assert_error_within_estimate(upper_incomplete_gamma_scaled, s, x)
+        checked += 1
+    assert checked > 100
+
+
+def test_incomplete_gamma_estimates_bound_the_error():
+    # Gamma(53.78) = exp(log_gamma) carries about |log_gamma| u of relative
+    # error; the continued fraction near x = s + 1 takes hundreds of steps
+    assert_error_within_estimate(upper_incomplete_gamma, 53.78, 5.0)
+    rng = np.random.default_rng(1514)
+    for s, x in zip(np.exp(rng.uniform(math.log(1e-3), math.log(60.0), 600)).tolist(),
+                    np.exp(rng.uniform(math.log(1e-8), math.log(800.0), 600)).tolist()):
+        for fn in (upper_incomplete_gamma, upper_incomplete_gamma_scaled):
+            assert_error_within_estimate(fn, s, x)
+
+
 def test_incomplete_gamma_out_of_float_range_raises_a_typed_error():
     # Gamma(s) overflows from s = 171.6, exp(x) from x = 709.8.
     rng = np.random.default_rng(2000)
@@ -244,7 +289,7 @@ def test_incomplete_gamma_loops_have_the_bits_of_their_reference_loops():
             delta = d * c
             h *= delta
             if abs(delta - 1.0) < 1e-17:
-                return h, abs(delta - 1.0) * abs(h)
+                return h, abs(delta - 1.0) * abs(h), i
 
     rng = np.random.default_rng(14)
     for s in np.exp(rng.uniform(math.log(1e-3), math.log(60.0), 400)).tolist():
@@ -283,3 +328,20 @@ def test_log_gamma_domain():
         log_gamma(0.0)
     with pytest.raises(OutOfRange):
         log_gamma(-2.5)
+
+
+def test_log_gamma_beyond_the_float_range_raises():
+    # (x - 1/2)*log(x + 13/2) overflows from about 2.6e305; the bits below stay
+    assert log_gamma(2.5e305) == _lanczos_lgamma(2.5e305) < math.inf
+    for x in (2.6e305, 1e308):
+        with pytest.raises(DomainExceeded, match="log_gamma leaves the float range"):
+            log_gamma(x)
+
+
+def test_log_gamma_of_a_subnormal_is_finite():
+    # pi/sin(pi*x) overflows below about 5.6e-309
+    for x in (5e-309, 1e-310, 5e-324):
+        with mpmath.workdps(40):
+            assert log_gamma(x) == pytest.approx(float(mpmath.loggamma(x)), rel=1e-15)
+    with mpmath.workdps(40):
+        assert log_gamma(1e-308) == pytest.approx(float(mpmath.loggamma(1e-308)), rel=1e-15)
