@@ -32,7 +32,6 @@ _REL_TOL = 1e-17
 _FPMIN = 1e-300
 _UNIT_ROUNDOFF = 2.0**-53
 _FLOAT_MAX = sys.float_info.max
-_LOG_FLOAT_MAX = math.log(_FLOAT_MAX)
 # A subnormal exp(), and its product with a factor below 1, each round by
 # at most half the smallest subnormal.
 _SUBNORMAL_ROUNDING = 2.0**-1074
@@ -63,13 +62,8 @@ def log_gamma(x: float) -> float:
     if not (math.isfinite(x) and x > 0.0):
         raise OutOfRange(f"log_gamma requires x > 0, got {x}")
     if x < 0.5:
-        # Reflection keeps the Lanczos sum well conditioned near zero. Below
-        # x near 5.6e-309 pi/sin(pi x) overflows, and log Gamma(x) is -log(x)
-        # to within 0.58x.
-        q = math.pi / math.sin(math.pi * x)
-        if q > _FLOAT_MAX:
-            return -math.log(x)
-        return math.log(q) - log_gamma(1.0 - x)
+        # Reflection keeps the Lanczos sum well conditioned near zero.
+        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
     value = _lanczos_lgamma(x)
     if value > _FLOAT_MAX:  # (x - 1/2)*log(x + 13/2) overflowed
         raise DomainExceeded(f"log_gamma leaves the float range at x = {x}")
@@ -267,15 +261,9 @@ def _upper_gamma(s: float, x: float, scaled: bool) -> SpecFunResult:
             value, est = scale * value, scale * est
         else:
             h, trunc, steps = _upper_gamma_cf(s, x)
-            log_x = math.log(x)
-            s_log_x = s * log_x
+            s_log_x = s * math.log(x)
             power = s_log_x - (0.0 if scaled else x)
-            if power > _LOG_FLOAT_MAX:
-                # x^s overflows where the value, about x^(s-1), need not
-                front = math.exp(power - log_x)
-                h, trunc = h * x, trunc * x
-            else:
-                front = math.exp(power)
+            front = math.exp(power)
             value = front * h
             # each step rounds its delta and the product h *= delta, and
             # feeds the roundings of its c and d into the next (Kummer's

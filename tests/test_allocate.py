@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -258,13 +259,24 @@ def counted_argmax(monkeypatch, model, u):
 
 
 @pytest.mark.parametrize("excess", [1e-8, 3e-9])
-def test_numeric_argmax_end_probe_that_rounds_equal_does_not_settle(monkeypatch, excess):
-    # alpha* = 8e-6 and 2.4e-6, inside the grid's first cell; the rate at the
-    # probe 1e-10 rounds equal to the rate at 0, so the end is not certified.
+def test_numeric_argmax_does_not_settle_a_maximizer_just_inside_an_end(monkeypatch, excess):
+    # alpha* = 8e-6 and 2.4e-6, inside the grid's first cell. A probe 1e-10
+    # in reads a rate that rounds equal to the end's; the rate at END_PROBE
+    # is above it, so golden section runs.
     p = GbmParams(mu=0.03 + excess, sigma=0.05, r=0.03)
     numeric, sizes = counted_argmax(monkeypatch, p, U)
     assert sizes[:2] == [64, 1] and len(sizes) == 44
     assert abs(numeric - optimal_gbm(p, U).alpha_star) <= 1e-6
+
+
+def test_numeric_argmax_end_lead_must_beat_rounding():
+    # alpha* = 1 - 1.8e-6, yet the rate at 1 rounds one ulp above the rate
+    # at 1 - END_PROBE: a strict comparison alone settles the end
+    p = GbmParams(mu=0.3001249997727713, sigma=0.05, r=0.3)
+    u = Utility(0.95)
+    end, inner = float(growth_rate(p, u, 1.0)), growth_rate(p, u, 1.0 - allocate.END_PROBE)
+    assert 0.0 < end - inner <= allocate.END_PROBE_ULPS * math.ulp(end)
+    assert abs(numeric_argmax(p, u) - optimal_gbm(p, u).alpha_star) <= 1e-6
 
 
 def test_numeric_argmax_settles_an_end_with_one_probe(monkeypatch):
@@ -294,6 +306,71 @@ def test_numeric_argmax_is_golden_section_unless_an_end_is_settled(monkeypatch):
         )
         assert numeric == want
     assert kinds["interior"] > 0 and kinds["end"] > 0, kinds
+
+
+def test_numeric_argmax_never_settles_a_density_law(monkeypatch):
+    # exp(-y) cut at 20 has mass 1 - 2.1e-9: the moment is exactly 1 at
+    # alpha = 0 and about that mass inside, so the end leads every probe
+    # although the rate rises toward alpha* = 5.0e-3 and 3.8e-5
+    law = DensityJump(density=lambda y: math.exp(-y), bound=20.0)
+    for excess in (2.6e-3, 2e-5):
+        p = JumpDiffusionParams(mu=0.03 + excess, sigma=0.2, lambda_j=1.0, jump=law, r=0.03)
+        assert float(growth_rate(p, U, 0.0)) > float(growth_rate(p, U, allocate.END_PROBE))
+        numeric, sizes = counted_argmax(monkeypatch, p, U)
+        assert sizes == [64] + [1] * 42  # golden section on [0, 1/63], no probe
+        assert abs(numeric - optimal_jump(p, U).alpha_star) <= 1e-6
+
+
+def with_alpha_star(model, u, target):
+    """``model`` with mu moved so that its closed-form alpha* is just above
+    ``target``, by bisection; None when no mu within 2 of it gets there."""
+    def star(mu):
+        return optimal_allocation(replace(model, mu=mu), u).alpha_star
+
+    lo, hi = model.mu - 2.0, model.mu + 2.0
+    if not star(lo) < target < star(hi):
+        return None
+    for _ in range(70):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if star(mid) < target else (lo, mid)
+    return replace(model, mu=hi)
+
+
+# Draws on which a probe 1e-10 inside, compared strictly, settled an end
+# that the closed form puts 3e-6 to 3e-5 away: the rate's rise over 1e-10
+# is below the rounding of rates near 0.1.
+NEAR_END_DRAWS = {
+    "jump": [
+        (JumpDiffusionParams(mu=0.67, sigma=0.3448660233086546, lambda_j=2.2701615324039657,
+                             jump=ConstantJump(y=0.734346969771096), r=0.06965867307591796),
+         Utility(0.16316736578075225)),
+        (JumpDiffusionParams(mu=1.4, sigma=0.06833657931118563, lambda_j=2.5485283375933294,
+                             jump=ExponentialJump(rate=2.201811479558695), r=0.034236987755477136),
+         Utility(0.39876677510155817)),
+    ],
+    "vasicek": [
+        (VasicekParams(mu=0.1, sigma=0.43855132674140407, kappa=1.3299443473756687,
+                       gamma_level=0.06475766060707927, delta=0.230026909883736,
+                       rho=-0.20262186484084, r0=0.011025292347994488),
+         Utility(0.7343359663911639)),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAWERS))
+def test_numeric_argmax_finds_a_maximizer_just_inside_an_end(name):
+    rng = np.random.default_rng(1500 + sorted(DRAWERS).index(name))
+    draws = NEAR_END_DRAWS.get(name, []) + [(DRAWERS[name](rng), draw_utility(rng)) for _ in range(4)]
+    checked = 0
+    for model, u in draws:
+        for gap in (3e-7, 3e-6, 3e-5):
+            for target in (gap, 1.0 - gap):
+                near = with_alpha_star(model, u, target)
+                if near is None:
+                    continue
+                checked += 1
+                assert abs(numeric_argmax(near, u) - optimal_allocation(near, u).alpha_star) <= 1e-6
+    assert checked >= 12
 
 
 @pytest.mark.parametrize("name", sorted(DRAWERS))
