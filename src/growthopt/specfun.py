@@ -63,7 +63,12 @@ def log_gamma(x: float) -> float:
         raise OutOfRange(f"log_gamma requires x > 0, got {x}")
     if x < 0.5:
         # Reflection keeps the Lanczos sum well conditioned near zero.
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
+        quotient = math.pi / math.sin(math.pi * x)
+        if quotient == math.inf:
+            # Subnormal x: log Gamma(x) = -log(x) - gamma*x + O(x^2) (DLMF
+            # 5.7.1), and gamma*x is far below an ulp of -log(x) > 709.
+            return -math.log(x)
+        return math.log(quotient) - log_gamma(1.0 - x)
     value = _lanczos_lgamma(x)
     if value > _FLOAT_MAX:  # (x - 1/2)*log(x + 13/2) overflowed
         raise DomainExceeded(f"log_gamma leaves the float range at x = {x}")
@@ -263,12 +268,22 @@ def _upper_gamma(s: float, x: float, scaled: bool) -> SpecFunResult:
             h, trunc, steps = _upper_gamma_cf(s, x)
             s_log_x = s * math.log(x)
             power = s_log_x - (0.0 if scaled else x)
-            front = math.exp(power)
+            try:
+                front = math.exp(power)
+                rounding = _front_rounding(s_log_x, power)
+            except OverflowError:
+                if not scaled:
+                    raise
+                # x^s overflows where e^x Gamma(s, x) ~ x^(s-1) need not: move
+                # one x into h. s > 19 here, so s - 1 is exact, and pow and
+                # the two products round once each.
+                front, h, trunc = x ** (s - 1.0), h * x, trunc * x
+                rounding = 4e-15
             value = front * h
             # each step rounds its delta and the product h *= delta, and
             # feeds the roundings of its c and d into the next (Kummer's
             # series is charged the same eight per term)
-            rounding = _front_rounding(s_log_x, power) + 8.0 * steps * _UNIT_ROUNDOFF
+            rounding += 8.0 * steps * _UNIT_ROUNDOFF
             est = front * trunc + rounding * value + _SUBNORMAL_ROUNDING
     except OverflowError:
         value = est = math.inf

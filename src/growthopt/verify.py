@@ -250,32 +250,40 @@ def _sample_jump_factors(law, rng: np.random.Generator, n: int) -> np.ndarray:
 def _log_ratio_gbm(p: GbmParams, alpha, t, n_steps, rng, size):
     """Exact lognormal log-return, also a jump path's diffusion part.
 
-    Raises DomainExceeded naming sigma when sigma^2 overflows.
+    Returns ``(log_ratio, 0.0)``: no term is integrated out. Raises
+    DomainExceeded naming sigma when sigma^2 overflows.
     """
     z = rng.standard_normal(size)
     try:
         drift = (alpha * p.mu + (1.0 - alpha) * p.r - 0.5 * alpha * alpha * p.sigma**2) * t
     except OverflowError as exc:
         raise _float_range_error("lognormal drift terms", p, ("sigma",)) from exc
-    return drift + alpha * p.sigma * math.sqrt(t) * z
+    return drift + alpha * p.sigma * math.sqrt(t) * z, 0.0
 
 
 def _log_ratio_heston(p: HestonParams, alpha, t, n_steps, rng, size):
+    """Euler log-return without the stock's own normal, and that term's variance.
+
+    The stock's noise is rho dW + sqrt(1 - rho^2) dB with B independent of
+    the variance path, so given the path the B term is Gaussian with
+    variance alpha^2 (1 - rho^2) dt sum nu+.
+    """
     dt = t / n_steps
     sq_dt = math.sqrt(dt)
-    rho_c = math.sqrt(1.0 - p.rho * p.rho)
-    drift_dt = (alpha * p.mu + (1.0 - alpha) * p.r) * dt
     nu = np.full(size, p.nu0)
-    lr = np.zeros(size)
+    nu_sum = np.zeros(size)  # sum of nu+ over the steps
+    noise = np.zeros(size)  # sum of sqrt(nu+) dW
     for _ in range(n_steps):
-        z = rng.standard_normal((2, size))
-        dw = sq_dt * z[0]
-        db = p.rho * dw + rho_c * sq_dt * z[1]
+        dw = sq_dt * rng.standard_normal(size)
         nu_plus = np.maximum(nu, 0.0)
-        sqrt_nu = np.sqrt(nu_plus)
-        lr += drift_dt - 0.5 * alpha * alpha * nu_plus * dt + alpha * sqrt_nu * db
-        nu = nu + p.kappa * (p.gamma_level - nu_plus) * dt + p.delta * sqrt_nu * dw
-    return lr
+        nu_sum += nu_plus
+        vol_dw = np.sqrt(nu_plus)
+        vol_dw *= dw
+        noise += vol_dw
+        nu = nu + p.kappa * (p.gamma_level - nu_plus) * dt + p.delta * vol_dw
+    drift = (alpha * p.mu + (1.0 - alpha) * p.r) * t
+    log_ratio = drift - 0.5 * alpha * alpha * dt * nu_sum + alpha * p.rho * noise
+    return log_ratio, alpha * alpha * (1.0 - p.rho * p.rho) * dt * nu_sum
 
 
 def _recip_cir_step(p: ThreeHalvesParams, x, dt, dw):
@@ -286,20 +294,21 @@ def _recip_cir_step(p: ThreeHalvesParams, x, dt, dw):
 
 
 def _log_ratio_three_halves(p: ThreeHalvesParams, alpha, t, n_steps, rng, size):
+    """Euler log-return without the stock's own normal, and that term's variance.
+
+    The stock's noise is independent of the variance's, so given the path
+    the stock term is Gaussian with variance alpha^2 dt sum nu.
+    """
     dt = t / n_steps
     sq_dt = math.sqrt(dt)
-    drift_dt = (alpha * p.mu + (1.0 - alpha) * p.r) * dt
     x = np.full(size, 1.0 / p.nu0)
-    lr = np.zeros(size)
+    nu_sum = np.zeros(size)
     for _ in range(n_steps):
-        z = rng.standard_normal((2, size))
-        dw = sq_dt * z[0]
-        db = sq_dt * z[1]  # stock driver independent of the variance driver
-        x_next, x_plus = _recip_cir_step(p, x, dt, dw)
-        nu = 1.0 / np.maximum(x_plus, _RECIP_FLOOR)
-        lr += drift_dt - 0.5 * alpha * alpha * nu * dt + alpha * np.sqrt(nu) * db
-        x = x_next
-    return lr
+        x, x_plus = _recip_cir_step(p, x, dt, sq_dt * rng.standard_normal(size))
+        nu_sum += 1.0 / np.maximum(x_plus, _RECIP_FLOOR)
+    drift = (alpha * p.mu + (1.0 - alpha) * p.r) * t
+    a2_dt = alpha * alpha * dt
+    return drift - 0.5 * a2_dt * nu_sum, a2_dt * nu_sum
 
 
 def _log_ratio_jump(p: JumpDiffusionParams, alpha, t, n_steps, rng, size):
@@ -309,81 +318,84 @@ def _log_ratio_jump(p: JumpDiffusionParams, alpha, t, n_steps, rng, size):
     constant = isinstance(p.jump, ConstantJump)  # needs no array of jump factors
     if not constant and lam * size > _WORK_LIMIT:
         raise OutOfRange(f"{lam * size:.6g} expected jumps in {size} paths exceed {_WORK_LIMIT:,}")
-    lognormal = _log_ratio_gbm(p, alpha, t, n_steps, rng, size)
+    lognormal, _ = _log_ratio_gbm(p, alpha, t, n_steps, rng, size)
     counts = rng.poisson(lam, size)
     if constant:  # log(0) = -inf where one jump takes the whole stake
         log_factor = np.log(alpha * (p.jump.y - 1.0) + 1.0)
-        return lognormal + np.where(counts > 0, counts * log_factor, 0.0)
+        return lognormal + np.where(counts > 0, counts * log_factor, 0.0), 0.0
     total = int(counts.sum())
     per_path = np.zeros(size)
     if total > 0:
         ys = _sample_jump_factors(p.jump, rng, total)
         log_factors = np.log(alpha * (ys - 1.0) + 1.0)
         np.add.at(per_path, np.repeat(np.arange(size), counts), log_factors)
-    return lognormal + per_path
+    return lognormal + per_path, 0.0
 
 
 def _log_ratio_vasicek(p: VasicekParams, alpha, t, n_steps, rng, size):
+    """Log-return without the stock's own normal, and that term's variance.
+
+    The stock's noise is rho*eta + sqrt(1 - rho^2) z with z independent of
+    the rate path, so given the path the z term is Gaussian with variance
+    alpha^2 sigma^2 (1 - rho^2) t.
+    """
     dt = t / n_steps
-    sq_dt = math.sqrt(dt)
-    rho_c = math.sqrt(1.0 - p.rho * p.rho)
     decay = math.exp(-p.kappa * dt)
     innov_sd = p.delta * math.sqrt((1.0 - math.exp(-2.0 * p.kappa * dt)) / (2.0 * p.kappa))
     r_state = np.full(size, p.r0)
     rate_integral = np.zeros(size)
-    stock_brownian = np.zeros(size)
+    eta_sum = np.zeros(size)
     for _ in range(n_steps):
-        z = rng.standard_normal((2, size))
-        eta = z[0]
+        eta = rng.standard_normal(size)
         r_next = p.gamma_level + (r_state - p.gamma_level) * decay + innov_sd * eta
         rate_integral += 0.5 * (r_state + r_next) * dt
-        stock_brownian += (p.rho * eta + rho_c * z[1]) * sq_dt
+        eta_sum += eta
         r_state = r_next
-    return (
+    a_sigma = alpha * p.sigma
+    log_ratio = (
         alpha * p.mu * t
-        - 0.5 * alpha * alpha * p.sigma * p.sigma * t
-        + alpha * p.sigma * stock_brownian
+        - 0.5 * a_sigma * a_sigma * t
+        + a_sigma * p.rho * math.sqrt(dt) * eta_sum
         + (1.0 - alpha) * rate_integral
     )
+    return log_ratio, a_sigma * a_sigma * (1.0 - p.rho * p.rho) * t
 
 
-# kind -> (simulator, time-stepped so n_steps >= 10*t is needed,
-#          bond is random so paths differ even at alpha = 0)
+# kind -> (simulator, conditional). A conditional simulator steps a variance
+# or rate path, so it needs n_steps >= 10*t, and integrates the stock's own
+# normal out given that path: equal paths are then the scheme's exact
+# expectation, not a sign of a broken RNG.
 _SIMULATORS = {
-    "gbm": (_log_ratio_gbm, False, False),
-    "heston": (_log_ratio_heston, True, False),
-    "three_halves": (_log_ratio_three_halves, True, False),
-    "jump": (_log_ratio_jump, False, False),
-    "vasicek": (_log_ratio_vasicek, True, True),
+    "gbm": (_log_ratio_gbm, False),
+    "heston": (_log_ratio_heston, True),
+    "three_halves": (_log_ratio_three_halves, True),
+    "jump": (_log_ratio_jump, False),
+    "vasicek": (_log_ratio_vasicek, True),
 }
 
 
 class _AntitheticNormals:
     """A block's generator whose standard normals come in mirrored pairs.
 
-    ``standard_normal(shape)`` draws ceil(n/2) values along the last (path)
-    axis of length n and writes their negation after them, so path i and
-    path i + ceil(n/2) form an antithetic pair (Glasserman, Monte Carlo
-    Methods in Financial Engineering, 2003, §4.2); in an odd block path
-    ceil(n/2) - 1 stays unpaired. The draws fill, row by row, one buffer
-    allocated per shape and overwritten by the next call, so a kernel must
-    not keep a returned array across draws. Every other method (Poisson,
-    exponential, uniform) is the block's own generator, unpaired.
+    ``standard_normal(n)`` draws ceil(n/2) values and writes their negation
+    after them, so path i and path i + ceil(n/2) form an antithetic pair
+    (Glasserman, Monte Carlo Methods in Financial Engineering, 2003, §4.2);
+    in an odd block path ceil(n/2) - 1 stays unpaired. The draws fill one
+    buffer, overwritten by the next call, so a kernel must not keep a
+    returned array across draws. Every other method (Poisson, exponential,
+    uniform) is the block's own generator, unpaired.
     """
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
         self._buf = np.empty(0)
 
-    def standard_normal(self, shape):
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        if self._buf.shape != shape:
-            self._buf = np.empty(shape)
-        n = shape[-1]
+    def standard_normal(self, n: int):
+        if self._buf.size != n:
+            self._buf = np.empty(n)
         half = (n + 1) // 2
-        for row in self._buf.reshape(-1, n):
-            self._rng.standard_normal(out=row[:half])
-        np.negative(self._buf[..., : n - half], out=self._buf[..., half:])
+        self._rng.standard_normal(out=self._buf[:half])
+        np.negative(self._buf[: n - half], out=self._buf[half:])
         return self._buf
 
     def __getattr__(self, name):
@@ -475,19 +487,27 @@ def mc_growth_estimate(
     variance uses full-truncation Euler, the 3/2 variance is simulated
     through its reciprocal (a CIR process, again full truncation), and the
     OU rate uses its exact Gaussian transition with a trapezoidal rate
-    integral. The standard error of the log-mean comes from the delta
-    method.
+    integral. For these three the stock's own normal is independent of the
+    variance or rate path and is integrated out given it (conditional Monte
+    Carlo): a path with log-return L0 without that term and conditional
+    variance v of it contributes E[e^{theta L} | path] = exp(theta L0 + theta^2 v/2),
+    the same scheme with the same expectation from half the normals. The
+    standard error of the log-mean comes from the delta method.
 
     Identical arguments give a bit-identical estimate for any ``workers``.
+    Raises DegenerateVariance when every path of a lognormal or jump model
+    at alpha > 0 is equal, which its exact sampler cannot produce.
     """
     alpha = _clamp_alpha(float(alpha))
-    sim, discretized, random_bond = _SIMULATORS[kind_of(model)]
+    sim, conditional = _SIMULATORS[kind_of(model)]
+    half_theta2 = 0.5 * u.theta * u.theta
 
     def block_fn(rng, size, t, n_steps):
-        return np.exp(u.theta * sim(model, alpha, t, n_steps, rng, size))
+        log_ratio, cond_var = sim(model, alpha, t, n_steps, rng, size)
+        return np.exp(u.theta * log_ratio + half_theta2 * cond_var)
 
-    m, se_m, run = _simulate(block_fn, t, n_paths, n_steps, seed, workers, discretized)
-    if se_m == 0.0 and not (alpha == 0.0 and not random_bond):
+    m, se_m, run = _simulate(block_fn, t, n_paths, n_steps, seed, workers, conditional)
+    if se_m == 0.0 and alpha != 0.0 and not conditional:
         raise DegenerateVariance(
             "all simulated paths are identical; check the RNG configuration"
         )

@@ -220,6 +220,26 @@ def test_incomplete_gamma_estimates_bound_the_error():
             assert_error_within_estimate(fn, s, x)
 
 
+def test_scaled_upper_gamma_where_x_to_the_s_overflows():
+    # x^s overflows from s*log(x) = 709.8 (s near 19.3 to 23.7 here), but the
+    # value, about x^(s-1), stays finite for about one more unit of s; the
+    # last 40 draws put s in that band
+    rng = np.random.default_rng(1601)
+    xs = np.exp(rng.uniform(math.log(1e13), math.log(2.0**53), 240)).tolist()
+    ss = np.exp(rng.uniform(math.log(1e-3), math.log(60.0), 200)).tolist()
+    ss += [709.8 / math.log(x) + rng.uniform(-0.2, 1.2) for x in xs[200:]]
+    overflowing_front = 0
+    for s, x in zip(ss, xs):
+        if mpmath_upper_gamma(s, x, scaled=True) > mpmath.mpf(1.7976931348623157e308):
+            with pytest.raises(DomainExceeded):
+                upper_incomplete_gamma_scaled(s, x)
+            continue
+        overflowing_front += s * math.log(x) > 709.8
+        assert_error_within_estimate(upper_incomplete_gamma_scaled, s, x)
+    assert overflowing_front >= 20
+    assert_error_within_estimate(upper_incomplete_gamma_scaled, 24.0, 1e13)
+
+
 def test_incomplete_gamma_out_of_float_range_raises_a_typed_error():
     # Gamma(s) overflows from s = 171.6, exp(x) from x = 709.8.
     rng = np.random.default_rng(2000)
@@ -331,3 +351,11 @@ def test_log_gamma_beyond_the_float_range_raises():
         with pytest.raises(DomainExceeded, match="log_gamma leaves the float range"):
             log_gamma(x)
 
+
+def test_log_gamma_of_subnormal_x_against_mpmath():
+    # pi/sin(pi*x) overflows below about 5.6e-309; log Gamma(x) is -log(x) there
+    for x in (5e-324, 1e-320, 1e-310, 5e-309, 5.5e-309, 5.6e-309, 1e-308, 1e-300):
+        value = log_gamma(x)
+        with mpmath.workdps(40):
+            ref = mpmath.loggamma(mpmath.mpf(x))
+            assert abs(mpmath.mpf(value) - ref) <= 2.0**-52 * ref, x

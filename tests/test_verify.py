@@ -22,6 +22,7 @@ from growthopt import (
     integrate_heston_riccati,
     integrate_vasicek_ode,
     lambda_gbm,
+    lambda_heston,
     lambda_jump,
     laplace_three_halves_finite_t,
     mc_growth_estimate,
@@ -124,18 +125,16 @@ def test_block_normals_come_in_mirrored_pairs(monkeypatch, size):
     drawn = []
 
     def block_fn(rng, n, t, n_steps):
-        drawn.append((rng.standard_normal(n).copy(), rng.standard_normal((2, n)).copy(),
-                      rng.poisson(3.0, n), rng.exponential(size=n), rng.random(n)))
+        drawn.append((rng.standard_normal(n).copy(), rng.poisson(3.0, n),
+                      rng.exponential(size=n), rng.random(n)))
         return np.zeros(n)
 
     verify._simulate(block_fn, 1.0, 2 * size, 1, seed=11, workers=1, discretized=False)
     half = (size + 1) // 2
-    for block, (one, two, counts, exps, unif) in enumerate(drawn):
+    for block, (one, counts, exps, unif) in enumerate(drawn):
         own = _philox(11, block)
         assert np.array_equal(one[:half], own.standard_normal(half))
-        assert np.array_equal(two[:, :half], own.standard_normal((2, half)))
-        for z in (one, two):  # mirrored along the path axis, negated exactly
-            assert np.array_equal(z[..., half:], -z[..., :size - half])
+        assert np.array_equal(one[half:], -one[:size - half])  # mirrored, negated exactly
         lone = [i for i in range(size) if -one[i] not in one]
         assert lone == ([half - 1] if size % 2 else [])
         assert np.array_equal(counts, own.poisson(3.0, size))  # unpaired draws pass through
@@ -312,6 +311,116 @@ def test_mc_constant_jump_needs_no_per_event_array():
     with pytest.raises(OutOfRange, match="1.6384e\\+07 expected jumps in 16384 paths"):
         mc_growth_estimate(replace(const, jump=ExponentialJump(rate=1.0)), U, 0.5, 1.0, 16_384, 1,
                            seed=31)
+
+
+def test_mc_fixed_variance_path_is_not_degenerate():
+    # rho = 0 and delta = 1e-300 fix the variance path to the last bit, and the
+    # stock's own normal is integrated out, so every path carries the scheme's
+    # exact expectation: a zero spread here is no RNG fault
+    flat = replace(HESTON, rho=0.0, delta=1e-300)
+    est = mc_growth_estimate(flat, U, 0.5, 1.0, 2_000, 20, seed=1)
+    assert est.std_error == 0.0
+    assert est.lambda_hat == pytest.approx(float(lambda_heston(flat, U, 0.5)), abs=1e-12)
+
+
+def _two_normal_heston(p, alpha, t, n_steps, rng, size):
+    dt = t / n_steps
+    sq_dt = math.sqrt(dt)
+    rho_c = math.sqrt(1.0 - p.rho * p.rho)
+    drift_dt = (alpha * p.mu + (1.0 - alpha) * p.r) * dt
+    nu = np.full(size, p.nu0)
+    lr = np.zeros(size)
+    for _ in range(n_steps):
+        dw = sq_dt * rng.standard_normal(size)
+        db = p.rho * dw + rho_c * sq_dt * rng.standard_normal(size)
+        nu_plus = np.maximum(nu, 0.0)
+        sqrt_nu = np.sqrt(nu_plus)
+        lr += drift_dt - 0.5 * alpha * alpha * nu_plus * dt + alpha * sqrt_nu * db
+        nu = nu + p.kappa * (p.gamma_level - nu_plus) * dt + p.delta * sqrt_nu * dw
+    return lr, 0.0
+
+
+def _two_normal_three_halves(p, alpha, t, n_steps, rng, size):
+    dt = t / n_steps
+    sq_dt = math.sqrt(dt)
+    drift_dt = (alpha * p.mu + (1.0 - alpha) * p.r) * dt
+    x = np.full(size, 1.0 / p.nu0)
+    lr = np.zeros(size)
+    for _ in range(n_steps):
+        dw = sq_dt * rng.standard_normal(size)
+        db = sq_dt * rng.standard_normal(size)
+        x_next, x_plus = verify._recip_cir_step(p, x, dt, dw)
+        nu = 1.0 / np.maximum(x_plus, verify._RECIP_FLOOR)
+        lr += drift_dt - 0.5 * alpha * alpha * nu * dt + alpha * np.sqrt(nu) * db
+        x = x_next
+    return lr, 0.0
+
+
+def _two_normal_vasicek(p, alpha, t, n_steps, rng, size):
+    dt = t / n_steps
+    sq_dt = math.sqrt(dt)
+    rho_c = math.sqrt(1.0 - p.rho * p.rho)
+    decay = math.exp(-p.kappa * dt)
+    innov_sd = p.delta * math.sqrt((1.0 - math.exp(-2.0 * p.kappa * dt)) / (2.0 * p.kappa))
+    r_state = np.full(size, p.r0)
+    rate_integral = np.zeros(size)
+    stock_brownian = np.zeros(size)
+    for _ in range(n_steps):
+        eta = rng.standard_normal(size).copy()
+        r_next = p.gamma_level + (r_state - p.gamma_level) * decay + innov_sd * eta
+        rate_integral += 0.5 * (r_state + r_next) * dt
+        stock_brownian += (p.rho * eta + rho_c * rng.standard_normal(size)) * sq_dt
+        r_state = r_next
+    lr = (alpha * p.mu * t - 0.5 * alpha * alpha * p.sigma * p.sigma * t
+          + alpha * p.sigma * stock_brownian + (1.0 - alpha) * rate_integral)
+    return lr, 0.0
+
+
+# The step of each time-stepped kind as it was before the stock's own normal
+# was integrated out: it draws that normal, one more row per step.
+TWO_NORMAL_KERNELS = [
+    ("heston", HESTON, verify._log_ratio_heston, _two_normal_heston),
+    ("three_halves", THREE_HALVES, verify._log_ratio_three_halves, _two_normal_three_halves),
+    ("vasicek", VASICEK, verify._log_ratio_vasicek, _two_normal_vasicek),
+]
+
+
+@pytest.mark.parametrize("kind, model, kernel, two_normal", TWO_NORMAL_KERNELS,
+                         ids=[k[0] for k in TWO_NORMAL_KERNELS])
+def test_conditional_estimate_agrees_with_the_two_normal_scheme(monkeypatch, kind, model, kernel,
+                                                                two_normal):
+    # the same scheme with the same expectation, so the two estimates differ
+    # by sampling error alone, and integrating a normal out cannot add variance
+    conditional = mc_growth_estimate(model, U, 0.5, 1.0, 16_384, 20, seed=16)
+    monkeypatch.setitem(verify._SIMULATORS, kind, (two_normal, True))
+    sampled = mc_growth_estimate(model, U, 0.5, 1.0, 16_384, 20, seed=16)
+    gap = abs(conditional.lambda_hat - sampled.lambda_hat)
+    assert gap <= 3.0 * math.hypot(conditional.std_error, sampled.std_error)
+    assert conditional.std_error < sampled.std_error
+
+
+class _CountingRng:
+    """A generator wrapper that records every method call."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls.append((name, args, kwargs))
+            return method(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("kind, model, kernel, two_normal", TWO_NORMAL_KERNELS,
+                         ids=[k[0] for k in TWO_NORMAL_KERNELS])
+def test_conditional_kernels_draw_one_normal_row_per_step(kind, model, kernel, two_normal):
+    rng = _CountingRng(verify._AntitheticNormals(_philox(3, 0)))
+    kernel(model, 0.5, 1.0, 20, rng, 100)
+    assert rng.calls == [("standard_normal", (100,), {})] * 20
 
 
 def test_mc_vasicek_alpha_zero_is_random():
