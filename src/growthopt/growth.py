@@ -80,9 +80,17 @@ def _clamp_alpha(alpha: ArrayLike) -> ArrayLike:
         if not -ALPHA_SLACK <= a <= 1.0 + ALPHA_SLACK:
             raise OutOfRange(f"alpha must lie in [0, 1], got {alpha!r}")
         return min(max(a, 0.0), 1.0)
+    # An array takes one min and one max (NaN if any element is), and comes
+    # back as it is when it already lies in [0, 1], where np.clip is the
+    # identity, -0.0 included. The rates only read it.
     a = np.asarray(alpha, dtype=float)
-    if not (np.all(a >= -ALPHA_SLACK) and np.all(a <= 1.0 + ALPHA_SLACK)):
+    if a.size == 0:
+        return a
+    lo, hi = a.min(), a.max()
+    if not -ALPHA_SLACK <= lo <= hi <= 1.0 + ALPHA_SLACK:
         raise OutOfRange(f"alpha must lie in [0, 1], got {alpha!r}")
+    if 0.0 <= lo and hi <= 1.0:
+        return a
     return np.clip(a, 0.0, 1.0)
 
 
@@ -111,6 +119,8 @@ def _variance_rate(p, theta, a, m, av, d):
         root = math.sqrt(r2) if R2_MIN <= r2 < math.inf else float(_hypot(m, d * math.sqrt(av)))
     else:
         root = np.sqrt(r2)
+        if r2.size == 0:  # an empty alpha array, whose min and max would raise
+            return base
         if not (r2.min() >= R2_MIN and r2.max() < math.inf):
             exact = (r2 >= R2_MIN) & (r2 < math.inf)
             root = np.where(exact, root, _hypot(m, d * np.sqrt(av)))
@@ -256,6 +266,18 @@ def _exponential_moment(rate: float, theta: float, alpha: float) -> float:
     return (alpha / rate) ** theta * scaled.value
 
 
+def _exponential_moments(rate: float, theta: float, alphas: list) -> list:
+    """``_exponential_moment`` at each alpha in [0, 1], 1.0 at alpha = 0, with one
+    incomplete-gamma call for the whole list."""
+    inner = [i for i, a in enumerate(alphas) if a != 0.0]
+    xs = np.array([rate * (1.0 / alphas[i] - 1.0) for i in inner])
+    scaled = upper_incomplete_gamma_scaled(theta + 1.0, xs).value.tolist()
+    moments = [1.0] * len(alphas)
+    for i, g in zip(inner, scaled):
+        moments[i] = (alphas[i] / rate) ** theta * g
+    return moments
+
+
 def _exponential_slope(rate: float, theta: float, alpha: float) -> float:
     """E[(alpha*(Y-1)+1)^(theta-1) * (Y-1)] for Y ~ Exponential(rate), alpha in (0, 1].
 
@@ -304,14 +326,23 @@ def _density_quad(f, lo, hi, abs_tol, fail_tol=None):
 def _jump_moment(law: JumpLaw, theta: float, a: ArrayLike) -> ArrayLike:
     """E[(a*(Y-1)+1)^theta] for an already clamped alpha ``a``.
 
-    An array is evaluated point by point on Python floats, so each point
-    has the bits of the scalar call. Constant and exponential laws use
-    closed forms (the latter through a scaled upper incomplete gamma);
-    density laws are integrated adaptively to 1e-9 absolute.
+    Constant and exponential laws use closed forms (the latter through a
+    scaled upper incomplete gamma); density laws are integrated adaptively
+    to 1e-9 absolute. An array runs the scalar arithmetic on Python floats,
+    so each point has the bits of the scalar call: a constant law in one
+    comprehension, an exponential law with one incomplete-gamma call for
+    all its points with a != 0 (the others are exactly 1.0), and a density
+    law point by point.
     """
     if not isinstance(a, float):
-        points = [_jump_moment(law, theta, ai) for ai in a.ravel().tolist()]
-        return np.reshape(points, a.shape)
+        points = a.ravel().tolist()
+        if isinstance(law, ConstantJump):
+            moments = [(ai * (law.y - 1.0) + 1.0) ** theta for ai in points]
+        elif isinstance(law, ExponentialJump):
+            moments = _exponential_moments(law.rate, theta, points)
+        else:
+            moments = [_jump_moment(law, theta, ai) for ai in points]
+        return np.array(moments, dtype=float).reshape(a.shape)
     if isinstance(law, ConstantJump):
         return (a * (law.y - 1.0) + 1.0) ** theta
     if a == 0.0:
@@ -357,7 +388,7 @@ def jump_derivative_moment(law: JumpLaw, u: Utility, alpha: float) -> float:
 
 def lambda_jump(p: JumpDiffusionParams, u: Utility, alpha: ArrayLike) -> ArrayLike:
     """Jump-diffusion growth rate: the diffusion part plus
-    lambda_j * (E[(alpha*(Y-1)+1)^theta] - 1), the moment taken point by point."""
+    lambda_j * (E[(alpha*(Y-1)+1)^theta] - 1)."""
     a = _clamp_alpha(alpha)
     moment = _jump_moment(p.jump, u.theta, a)
     return _diffusion_growth(p.mu, p.r, p.sigma, u.theta, a) + p.lambda_j * (moment - 1.0)

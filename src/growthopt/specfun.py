@@ -4,6 +4,10 @@ Self-contained double-precision implementations (Taylor series, Lentz
 continued fractions, Lanczos) tuned for the argument ranges the growth
 formulas actually hit. Each routine reports an estimated absolute error
 derived from its truncation criterion and the rounding of its steps.
+
+The incomplete gamma functions also take an ndarray of x. One such call
+checks s once and computes Gamma(s) at most once, and runs the scalar
+arithmetic at each point, so every element has the scalar call's bits.
 """
 
 from __future__ import annotations
@@ -11,6 +15,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Union
+
+import numpy as np
 
 from .errors import DomainExceeded, OutOfRange, PoleAtB
 
@@ -46,10 +53,13 @@ _ASYMPTOTIC_MAX_S = 2.0**26
 
 @dataclass(frozen=True)
 class SpecFunResult:
-    """A function value together with an estimated absolute error bound."""
+    """A function value together with an estimated absolute error bound.
 
-    value: float
-    est_abs_error: float
+    Both are arrays when an incomplete gamma function is given an array of x.
+    """
+
+    value: Union[float, np.ndarray]
+    est_abs_error: Union[float, np.ndarray]
 
 
 def log_gamma(x: float) -> float:
@@ -217,88 +227,117 @@ def _front_rounding(s_log_x: float, power: float) -> float:
     return 4e-15 + (2.0 * abs(s_log_x) + abs(power)) * _UNIT_ROUNDOFF
 
 
-def _gamma_args(s: float, x: float):
-    """(s, x) as floats, checked once for both public incomplete-gamma functions."""
-    s, x = float(s), float(x)
+def _upper_gamma(s: float, xs, scaled: bool):
+    """Gamma(s, x), times exp(x) when ``scaled``, for a checked s > 0 and each x in ``xs``.
+
+    Returns the lists of values and of error estimates. Two terms of the
+    asymptotic series from x = 2^53, Gamma(s) minus the lower series below
+    x = s + 1, else the continued fraction, whose front drops e^-x when
+    scaled so that large x stays finite. Gamma(s) is computed once, at the
+    first x that takes the series. Raises OutOfRange at the first x that is
+    not finite and >= 0, and DomainExceeded at the first x where Gamma(s),
+    exp(x) or the result leaves the float range.
+    """
+    values, ests = [], []
+    gamma_s = None
+    for x in xs:
+        if not 0.0 <= x <= _FLOAT_MAX:
+            raise OutOfRange(f"upper incomplete gamma requires x >= 0, got x = {x}")
+        try:
+            if x >= _ASYMPTOTIC_MIN_X and s <= _ASYMPTOTIC_MAX_S:
+                # e^x Gamma(s, x) ~ x^(s-1) (1 + (s-1)/x + (s-1)(s-2)/x^2 + ...)
+                # (DLMF 8.11.2). Unscaled, e^-x puts the value below the float range.
+                value = est = 0.0
+                if scaled:
+                    # s - 1 is exact from s = 1/2, and a rounded exponent would
+                    # be multiplied by log(x); x^s overflows long before x^(s-1).
+                    front = x ** (s - 1.0) if s >= 0.5 else x**s / x
+                    value = front * (1.0 + (s - 1.0) / x)
+                    est = abs(front * ((s - 1.0) * (s - 2.0) / x / x)) + 4e-15 * value
+            elif x < s + 1.0:
+                if gamma_s is None:
+                    lg = log_gamma(s)
+                    gamma_s = math.exp(lg)
+                    # exp turns the absolute error of the Lanczos log into a
+                    # relative one: a few roundings of its terms, which reach
+                    # about three times |log Gamma(s)| (near s = 2, where that
+                    # is small, the 4e-15).
+                    gamma_s_err = (4e-15 + 16.0 * _UNIT_ROUNDOFF * abs(lg)) * gamma_s
+                value, est = gamma_s, gamma_s_err
+                if x > 0.0:
+                    total, trunc = _lower_gamma_series(s, x)
+                    s_log_x = s * math.log(x)
+                    power = -x + s_log_x
+                    front = math.exp(power)
+                    lower = front * total
+                    value = gamma_s - lower
+                    est = front * trunc + gamma_s_err + _front_rounding(s_log_x, power) * lower
+                scale = math.exp(x) if scaled else 1.0
+                value, est = scale * value, scale * est
+            else:
+                h, trunc, steps = _upper_gamma_cf(s, x)
+                log_x = math.log(x)
+                s_log_x = s * log_x
+                power = s_log_x - (0.0 if scaled else x)
+                try:
+                    front = math.exp(power)
+                    rounding = _front_rounding(s_log_x, power)
+                except OverflowError:
+                    # x^s (e^-x) overflows where the value, about x^(s-1) (e^-x)
+                    # times x*h, need not: move one x into h. s > 19 here, so
+                    # s - 1 is exact, and pow and the two products round once
+                    # each; unscaled, the subtraction of log(x) rounds too.
+                    if scaled:
+                        front, rounding = x ** (s - 1.0), 4e-15
+                    else:
+                        reduced = power - log_x
+                        front = math.exp(reduced)
+                        rounding = _front_rounding(s_log_x, power) + (
+                            abs(reduced) + abs(log_x)
+                        ) * _UNIT_ROUNDOFF
+                    h, trunc = h * x, trunc * x
+                value = front * h
+                # each step rounds its delta and the product h *= delta, and
+                # feeds the roundings of its c and d into the next (Kummer's
+                # series is charged the same eight per term)
+                rounding += 8.0 * steps * _UNIT_ROUNDOFF
+                est = front * trunc + rounding * value + _SUBNORMAL_ROUNDING
+        except OverflowError:
+            value = est = math.inf
+        if not (math.isfinite(value) and math.isfinite(est)):
+            raise DomainExceeded(
+                f"upper incomplete gamma leaves the float range at (s={s}, x={x})"
+            )
+        values.append(value)
+        ests.append(est)
+    return values, ests
+
+
+def _incomplete_gamma(s, x, scaled: bool) -> SpecFunResult:
+    """Check s once, then evaluate at a scalar x or at each element of an ndarray x."""
+    s = float(s)
     if not (math.isfinite(s) and s > 0.0):
         raise OutOfRange(f"upper incomplete gamma requires s > 0, got s = {s}")
-    if not (math.isfinite(x) and x >= 0.0):
-        raise OutOfRange(f"upper incomplete gamma requires x >= 0, got x = {x}")
-    return s, x
+    if isinstance(x, np.ndarray) and x.ndim:
+        values, ests = _upper_gamma(s, np.asarray(x, dtype=float).ravel().tolist(), scaled)
+        return SpecFunResult(np.reshape(values, x.shape), np.reshape(ests, x.shape))
+    values, ests = _upper_gamma(s, (float(x),), scaled)
+    return SpecFunResult(values[0], ests[0])
 
 
-def _upper_gamma(s: float, x: float, scaled: bool) -> SpecFunResult:
-    """Gamma(s, x), times exp(x) when ``scaled``, for checked s > 0 and x >= 0.
+def upper_incomplete_gamma(s: float, x) -> SpecFunResult:
+    """Upper incomplete gamma integral of t^(s-1) e^-t over [x, inf).
 
-    Two terms of the asymptotic series from x = 2^53, Gamma(s) minus the
-    lower series below x = s + 1, else the continued fraction, whose front
-    drops e^-x when scaled so that large x stays finite. Raises
-    DomainExceeded when Gamma(s), exp(x) or the result leaves the float range.
+    Given an ndarray of x, returns one result whose value and error estimate
+    are arrays of its shape; each element has the bits of the scalar call,
+    and the call raises the scalar call's error at the first x that does.
     """
-    try:
-        if x >= _ASYMPTOTIC_MIN_X and s <= _ASYMPTOTIC_MAX_S:
-            # e^x Gamma(s, x) ~ x^(s-1) (1 + (s-1)/x + (s-1)(s-2)/x^2 + ...)
-            # (DLMF 8.11.2). Unscaled, e^-x puts the value below the float range.
-            value = est = 0.0
-            if scaled:
-                # s - 1 is exact from s = 1/2, and a rounded exponent would
-                # be multiplied by log(x); x^s overflows long before x^(s-1).
-                front = x ** (s - 1.0) if s >= 0.5 else x**s / x
-                value = front * (1.0 + (s - 1.0) / x)
-                est = abs(front * ((s - 1.0) * (s - 2.0) / x / x)) + 4e-15 * value
-        elif x < s + 1.0:
-            lg = log_gamma(s)
-            gamma_s = math.exp(lg)
-            # exp turns the absolute error of the Lanczos log into a relative
-            # one: a few roundings of its terms, which reach about three times
-            # |log Gamma(s)| (near s = 2, where that is small, the 4e-15).
-            value = gamma_s
-            est = gamma_s_err = (4e-15 + 16.0 * _UNIT_ROUNDOFF * abs(lg)) * gamma_s
-            if x > 0.0:
-                total, trunc = _lower_gamma_series(s, x)
-                s_log_x = s * math.log(x)
-                power = -x + s_log_x
-                front = math.exp(power)
-                lower = front * total
-                value = gamma_s - lower
-                est = front * trunc + gamma_s_err + _front_rounding(s_log_x, power) * lower
-            scale = math.exp(x) if scaled else 1.0
-            value, est = scale * value, scale * est
-        else:
-            h, trunc, steps = _upper_gamma_cf(s, x)
-            s_log_x = s * math.log(x)
-            power = s_log_x - (0.0 if scaled else x)
-            try:
-                front = math.exp(power)
-                rounding = _front_rounding(s_log_x, power)
-            except OverflowError:
-                if not scaled:
-                    raise
-                # x^s overflows where e^x Gamma(s, x) ~ x^(s-1) need not: move
-                # one x into h. s > 19 here, so s - 1 is exact, and pow and
-                # the two products round once each.
-                front, h, trunc = x ** (s - 1.0), h * x, trunc * x
-                rounding = 4e-15
-            value = front * h
-            # each step rounds its delta and the product h *= delta, and
-            # feeds the roundings of its c and d into the next (Kummer's
-            # series is charged the same eight per term)
-            rounding += 8.0 * steps * _UNIT_ROUNDOFF
-            est = front * trunc + rounding * value + _SUBNORMAL_ROUNDING
-    except OverflowError:
-        value = est = math.inf
-    if not (math.isfinite(value) and math.isfinite(est)):
-        raise DomainExceeded(
-            f"upper incomplete gamma leaves the float range at (s={s}, x={x})"
-        )
-    return SpecFunResult(value, est)
+    return _incomplete_gamma(s, x, False)
 
 
-def upper_incomplete_gamma(s: float, x: float) -> SpecFunResult:
-    """Upper incomplete gamma integral of t^(s-1) e^-t over [x, inf)."""
-    return _upper_gamma(*_gamma_args(s, x), scaled=False)
+def upper_incomplete_gamma_scaled(s: float, x) -> SpecFunResult:
+    """exp(x) * Gamma(s, x), stable for large x where the plain product overflows.
 
-
-def upper_incomplete_gamma_scaled(s: float, x: float) -> SpecFunResult:
-    """exp(x) * Gamma(s, x), stable for large x where the plain product overflows."""
-    return _upper_gamma(*_gamma_args(s, x), scaled=True)
+    Takes an ndarray of x as ``upper_incomplete_gamma`` does.
+    """
+    return _incomplete_gamma(s, x, True)

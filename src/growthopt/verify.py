@@ -337,8 +337,12 @@ def _log_ratio_vasicek(p: VasicekParams, alpha, t, n_steps, rng, size):
 
     The stock's noise is rho*eta + sqrt(1 - rho^2) z with z independent of
     the rate path, so given the path the z term is Gaussian with variance
-    alpha^2 sigma^2 (1 - rho^2) t.
+    alpha^2 sigma^2 (1 - rho^2) t. Raises DomainExceeded naming sigma when
+    (alpha*sigma)^2 overflows.
     """
+    a_sigma = alpha * p.sigma
+    if not math.isfinite(a_sigma * a_sigma):
+        raise _float_range_error("stock variance terms", p, ("sigma",))
     dt = t / n_steps
     decay = math.exp(-p.kappa * dt)
     innov_sd = p.delta * math.sqrt((1.0 - math.exp(-2.0 * p.kappa * dt)) / (2.0 * p.kappa))
@@ -351,7 +355,6 @@ def _log_ratio_vasicek(p: VasicekParams, alpha, t, n_steps, rng, size):
         rate_integral += 0.5 * (r_state + r_next) * dt
         eta_sum += eta
         r_state = r_next
-    a_sigma = alpha * p.sigma
     log_ratio = (
         alpha * p.mu * t
         - 0.5 * a_sigma * a_sigma * t

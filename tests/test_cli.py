@@ -450,3 +450,11 @@ def test_default_seed_reproducible(tmp_path):
     assert run(args + ["--out", str(out1)]) == 0
     assert run(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_mc_vasicek_sigma_overflow_exits_2_naming_sigma(tmp_path, capsys):
+    cfg = write(tmp_path, "v.cfg", VASICEK_FLAT.replace("model.sigma = 0.2", "model.sigma = 1e200"))
+    assert run([MC_SMALL[0], "--config", cfg, *MC_SMALL[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: stock variance terms leave the float range at sigma=1e+200\n")

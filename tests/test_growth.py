@@ -553,3 +553,79 @@ def test_growth_rate_dispatch_matches_direct():
     assert growth_rate(HESTON, U, 0.3) == lambda_heston(HESTON, U, 0.3)
     assert growth_rate(THREE_HALVES, U, 0.3) == lambda_three_halves(THREE_HALVES, U, 0.3)
     assert growth_rate(VASICEK, U, 0.3) == lambda_vasicek(VASICEK, U, 0.3)
+
+
+def test_exponential_rate_array_pays_its_fixed_costs_once(monkeypatch):
+    # one incomplete-gamma call per array, and Gamma(s) at most once in it
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(growth, "upper_incomplete_gamma_scaled")
+    count(specfun, "log_gamma")
+    rng = np.random.default_rng(1803)
+    # (alphas, the possible log_gamma counts): alpha = 1 puts x = 0 in the
+    # series branch, which needs Gamma(s); alpha = 0 needs no incomplete gamma
+    cases = [(np.linspace(0.0, 1.0, 101), {1}), (np.linspace(0.0, 1.0, 64), {1}),
+             (rng.uniform(0.0, 1.0, 7), {0, 1}), (rng.uniform(0.0, 1.0, (3, 4)), {0, 1}),
+             (np.zeros(3), {0}), (np.empty(0), {0})]
+    checked = 0
+    while checked < 20:
+        model, u = draw_jump(rng), draw_utility(rng)
+        if not isinstance(model.jump, ExponentialJump):
+            continue
+        for alphas, log_gamma_calls in cases:
+            calls.clear()
+            growth_rate(model, u, alphas)
+            assert calls["upper_incomplete_gamma_scaled"] == 1
+            assert calls.get("log_gamma", 0) in log_gamma_calls
+        checked += 1
+
+
+def test_exponential_moment_array_is_exactly_one_at_alpha_zero():
+    moments = growth._jump_moment(ExponentialJump(rate=1.3), 0.5, np.array([0.0, -0.0, 0.5]))
+    assert moments[:2].tolist() == [1.0, 1.0]
+    assert moments[2] == growth._jump_moment(ExponentialJump(rate=1.3), 0.5, 0.5)
+
+
+def test_clamp_alpha_on_arrays():
+    for bad in ([0.2, math.nan], [math.nan], [0.5, 1.0 + 2.0 * ALPHA_SLACK],
+                [-2.0 * ALPHA_SLACK, 0.5], [-math.inf, 0.5], [0.5, math.inf]):
+        with pytest.raises(OutOfRange, match="alpha must lie in"):
+            _clamp_alpha(np.array(bad))
+    slack = np.array([-ALPHA_SLACK, -1e-12, 0.5, 1.0 + 1e-12, 1.0 + ALPHA_SLACK])
+    clipped = _clamp_alpha(slack)
+    assert clipped.tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
+    assert slack[0] == -ALPHA_SLACK  # the input is not written into
+    inside = np.array([-0.0, 0.0, 5e-324, 0.3, 1.0])
+    assert _clamp_alpha(inside).tobytes() == inside.tobytes() == np.clip(inside, 0.0, 1.0).tobytes()
+    assert _clamp_alpha([0, 1]).tolist() == [0.0, 1.0]
+    for shape in [(0,), (3, 0)]:
+        empty = _clamp_alpha(np.empty(shape))
+        assert empty.shape == shape and empty.dtype == np.float64
+
+
+RATE_MODELS = [GBM, HESTON, THREE_HALVES, JUMP_CONSTANT, JUMP_EXPONENTIAL, VASICEK]
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0)])
+@pytest.mark.parametrize("model", RATE_MODELS, ids=lambda m: type(m).__name__)
+def test_growth_rate_of_an_empty_alpha_array(model, shape):
+    value = growth_rate(model, U, np.empty(shape))
+    assert isinstance(value, np.ndarray)
+    assert value.shape == shape and value.dtype == np.float64
+
+
+@pytest.mark.parametrize("model", RATE_MODELS, ids=lambda m: type(m).__name__)
+def test_growth_rate_only_reads_its_alpha_array(model):
+    grid = np.linspace(0.0, 1.0, 11)
+    grid.flags.writeable = False
+    rates = growth_rate(model, U, grid)
+    assert rates is not grid and rates.tolist() == [growth_rate(model, U, a) for a in grid.tolist()]

@@ -359,3 +359,66 @@ def test_log_gamma_of_subnormal_x_against_mpmath():
         with mpmath.workdps(40):
             ref = mpmath.loggamma(mpmath.mpf(x))
             assert abs(mpmath.mpf(value) - ref) <= 2.0**-52 * ref, x
+
+
+def scalar_results(fn, s, xs):
+    """(values, estimates) of one scalar call per x, as float arrays."""
+    results = [fn(s, x) for x in xs]
+    return (np.array([r.value for r in results]),
+            np.array([r.est_abs_error for r in results]))
+
+
+@pytest.mark.parametrize("fn", [upper_incomplete_gamma, upper_incomplete_gamma_scaled])
+def test_incomplete_gamma_array_has_the_bits_of_scalar_calls(fn):
+    # x = 0, the series (x < s + 1), the continued fraction, the asymptotic
+    # series from 2^53, and (24, 1e13), where the scaled front x^s overflows
+    rng = np.random.default_rng(1801)
+    cases = [(24.0, np.array([1e13, 0.0, 3.0, 30.0]))]
+    for s in np.exp(rng.uniform(math.log(1e-3), math.log(60.0), 40)).tolist():
+        # the largest x where x^(s-1) stays finite, if that is above 2^53
+        top = 300.0 if s <= 1.0 else min(300.0, 700.0 / (s - 1.0) / math.log(10.0))
+        far = 10.0 ** rng.uniform(math.log10(2.0**53), top, 2) if top > 16.0 else []
+        xs = np.concatenate([[0.0], s + 1.0 - rng.uniform(0.0, 1.0, 4) * (s + 1.0),
+                             s + 1.0 + np.exp(rng.uniform(-3.0, math.log(1e4), 4)), far])
+        cases.append((s, rng.permutation(xs)))
+    assert sum(xs.max() >= 2.0**53 for _, xs in cases) >= 10
+    for s, xs in cases:
+        res = fn(s, xs)
+        values, ests = scalar_results(fn, s, xs.tolist())
+        assert res.value.tobytes() == values.tobytes(), (s, xs)
+        assert res.est_abs_error.tobytes() == ests.tobytes(), (s, xs)
+    grid = np.array([[0.0, 0.5, 4.0], [40.0, 2.0**53, 1e13]])
+    res = fn(1.5, grid)
+    assert res.value.shape == res.est_abs_error.shape == grid.shape
+    assert res.value.tobytes() == scalar_results(fn, 1.5, grid.ravel().tolist())[0].tobytes()
+    empty = fn(1.5, np.array([]))
+    assert empty.value.shape == empty.est_abs_error.shape == (0,)
+
+
+@pytest.mark.parametrize("fn", [upper_incomplete_gamma, upper_incomplete_gamma_scaled])
+@pytest.mark.parametrize("s, bad_x", [(200.0, 50.0), (1.5, -1.0), (1.5, math.nan),
+                                      (1.5, math.inf)])
+def test_incomplete_gamma_array_raises_the_scalar_error(fn, s, bad_x):
+    # Gamma(200) overflows in the series branch; x < 0, NaN and inf are out of range
+    with pytest.raises(GrowthOptError) as scalar:
+        fn(s, bad_x)
+    with pytest.raises(type(scalar.value), match="upper incomplete gamma"):
+        fn(s, np.array([s + 2.0, 0.5, bad_x, 3.0]))
+
+
+def test_upper_gamma_where_the_unscaled_front_overflows():
+    # x^s e^-x overflows from s*log(x) - x = 709.8, but the value, about
+    # x^(s-1) e^-x, stays finite for about one more unit of s; the draws put
+    # s in that band with x >= s + 1, where the continued fraction runs
+    assert_error_within_estimate(upper_incomplete_gamma, 248.0, 1000.0)
+    rng = np.random.default_rng(1802)
+    overflowing_front = 0
+    for x in np.exp(rng.uniform(math.log(300.0), math.log(1e4), 100)).tolist():
+        s = (709.8 + x) / math.log(x) + rng.uniform(-0.2, 1.2)
+        if mpmath_upper_gamma(s, x, scaled=False) > mpmath.mpf(1.7976931348623157e308):
+            with pytest.raises(DomainExceeded):
+                upper_incomplete_gamma(s, x)
+            continue
+        overflowing_front += s * math.log(x) - x > 709.8
+        assert_error_within_estimate(upper_incomplete_gamma, s, x)
+    assert overflowing_front >= 40

@@ -621,3 +621,13 @@ def test_rk4_step_cap_admits_ten_million_steps(monkeypatch):
     monkeypatch.setattr(verify.np, "arange", allocated)
     with pytest.raises(Allocated):
         integrate_heston_riccati(HESTON, U, 0.5, 10.0, 1e-6)
+
+
+def test_mc_vasicek_stock_variance_overflow_names_sigma():
+    # (alpha*sigma)^2 overflows; at alpha = 0 the stock drops out
+    huge = replace(VASICEK, sigma=1e200)
+    with pytest.raises(DomainExceeded,
+                       match=r"^stock variance terms leave the float range at sigma=1e\+200$"):
+        mc_growth_estimate(huge, U, 0.5, 1.0, 100, 10, seed=1)
+    bond_only = mc_growth_estimate(huge, U, 0.0, 1.0, 100, 10, seed=1)
+    assert math.isfinite(bond_only.lambda_hat)
