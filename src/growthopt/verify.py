@@ -7,10 +7,16 @@ wealth process of every model and estimates the finite-horizon growth rate
 of the expected power utility.
 
 Simulation is deterministic by construction: paths are split into
-fixed-size blocks, each block draws from its own counter-based stream
-derived from the master seed, with its normals in antithetic pairs inside
-the block, and partial results are combined in block order, so the
+fixed-size blocks, each block draws from its own SFC64 stream keyed by the
+master seed and the block index, with its normals in antithetic pairs
+inside the block, and partial results are combined in block order, so the
 estimate is bit-identical for any worker count.
+
+The worker threads of a time-stepped run take turns at step arithmetic: a
+block holds the run's compute turn while it steps and hands it over around
+every draw. Draws release the GIL, so different blocks' draws still
+overlap, but only one thread at a time runs a step's ufuncs, and the
+threads no longer trade the GIL around each of those calls.
 
 A time-stepped block allocates a fixed set of path arrays once and
 updates them in place, allocating nothing per step: at 16,384 paths,
@@ -21,8 +27,10 @@ belong to one block's call, so worker threads never share them.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -436,8 +444,7 @@ def _laplace_three_halves_block(p: ThreeHalvesParams, lambda_l, rng, size, t, n_
         dw = rng.standard_normal(size)
         dw *= sq_dt
         _recip_cir_step(p, x, dt, dw, x_plus=x_plus, work=nu_next)
-        np.maximum(x, 0.0, out=nu_next)
-        np.maximum(nu_next, _RECIP_FLOOR, out=nu_next)
+        np.maximum(x, _RECIP_FLOOR, out=nu_next)
         np.divide(1.0, nu_next, out=nu_next)
         # the trapezoid 0.5 (nu + nu_next) dt, in nu's buffer, which nu_next then takes
         nu_cur += nu_next
@@ -473,22 +480,37 @@ class _AntitheticNormals:
     overwrite the returned array within its step, but must not keep it
     across draws. Every other method (Poisson, exponential, uniform) is the
     block's own generator, unpaired.
+
+    ``turn`` is the run's compute turn (see ``_simulate``), held by the
+    thread stepping this block. Every generator call releases it and takes
+    it back afterwards, so another block steps while this one draws.
+    Without a turn the calls go straight to the generator.
     """
 
-    def __init__(self, rng: np.random.Generator):
+    def __init__(self, rng: np.random.Generator, turn: threading.Lock | None = None):
         self._rng = rng
+        self._turn = turn
         self._buf = np.empty(0)
+
+    def _draw(self, method, *args, **kwargs):
+        if self._turn is None:
+            return method(*args, **kwargs)
+        self._turn.release()
+        try:
+            return method(*args, **kwargs)
+        finally:
+            self._turn.acquire()
 
     def standard_normal(self, n: int):
         if self._buf.size != n:
             self._buf = np.empty(n)
         half = (n + 1) // 2
-        self._rng.standard_normal(out=self._buf[:half])
+        self._draw(self._rng.standard_normal, out=self._buf[:half])
         np.negative(self._buf[: n - half], out=self._buf[half:])
         return self._buf
 
     def __getattr__(self, name):
-        return getattr(self._rng, name)
+        return functools.partial(self._draw, getattr(self._rng, name))
 
 
 def _simulate(block_fn, t, n_paths, n_steps, seed, workers, discretized):
@@ -496,11 +518,17 @@ def _simulate(block_fn, t, n_paths, n_steps, seed, workers, discretized):
 
     Checks the run shape, then runs ``block_fn(rng, size, t, n_steps)`` on
     fixed-size blocks of paths on ``max(1, workers)`` threads. Block i
-    draws from its own Philox stream keyed by (seed, i), wrapped so that its
+    draws from its own SFC64 stream keyed by (seed, i), wrapped so that its
     normals come in antithetic pairs (``_AntitheticNormals``), and the
     blocks are combined in block order, so the result is the same for any
     ``workers``. A time-stepped (``discretized``) scheme needs
     n_steps >= 10*t.
+
+    A ``discretized`` run has one compute turn, a lock that a worker holds
+    while it runs ``block_fn`` and that the block's generator releases
+    around each draw. One block's step arithmetic thus overlaps only other
+    blocks' draws, never another block's arithmetic. Each block's values
+    depend only on its own stream, so the turn changes timing, not bits.
 
     The mean is over all paths. The standard error is over the k independent
     units, each a pair or an odd block's lone path: with U_j a unit's sum,
@@ -527,14 +555,18 @@ def _simulate(block_fn, t, n_paths, n_steps, seed, workers, discretized):
             f"(antithetic pairs or lone paths), got n_paths={n_paths}"
         )
 
+    # Only a time-stepped block makes enough small ufunc calls to lose time
+    # trading the GIL; an exact sampler's few large calls run best in parallel.
+    turn = threading.Lock() if discretized else None
+
     def block(i):
         rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+            np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         )
         # numpy's error state is per thread, so it is set here in the worker;
         # overflow and NaN surface below as NonFinitePath, not as warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return block_fn(_AntitheticNormals(rng), sizes[i], t, n_steps)
+        with turn or contextlib.nullcontext(), np.errstate(over="ignore", invalid="ignore"):
+            return block_fn(_AntitheticNormals(rng, turn), sizes[i], t, n_steps)
 
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
         values = np.concatenate(list(pool.map(block, range(len(sizes)))))

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -114,9 +117,9 @@ def test_mc_fewer_than_two_units_degenerate_variance(call, n_paths):
         call(n_paths)
 
 
-def _philox(seed, block):
+def _block_generator(seed, block):
     return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(block,))))
+        np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(block,))))
 
 
 @pytest.mark.parametrize("size", [4, 5])
@@ -132,7 +135,7 @@ def test_block_normals_come_in_mirrored_pairs(monkeypatch, size):
     verify._simulate(block_fn, 1.0, 2 * size, 1, seed=11, workers=1, discretized=False)
     half = (size + 1) // 2
     for block, (one, counts, exps, unif) in enumerate(drawn):
-        own = _philox(11, block)
+        own = _block_generator(11, block)
         assert np.array_equal(one[:half], own.standard_normal(half))
         assert np.array_equal(one[half:], -one[:size - half])  # mirrored, negated exactly
         lone = [i for i in range(size) if -one[i] not in one]
@@ -140,6 +143,67 @@ def test_block_normals_come_in_mirrored_pairs(monkeypatch, size):
         assert np.array_equal(counts, own.poisson(3.0, size))  # unpaired draws pass through
         assert np.array_equal(exps, own.exponential(size=size))
         assert np.array_equal(unif, own.random(size))
+
+
+def _switching_often(run):
+    """``run()`` with the interpreter switching threads every microsecond."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return run()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_one_thread_at_a_time_runs_step_arithmetic(monkeypatch):
+    # six time-stepped blocks on three threads: outside its draws a block
+    # holds the run's compute turn, so no other block can be in its arithmetic
+    monkeypatch.setattr(verify, "BLOCK_SIZE", 64)
+    stepping = set()
+    crowds = []
+
+    def block_fn(rng, n, t, n_steps):
+        me = threading.get_ident()
+        for _ in range(n_steps):
+            z = rng.standard_normal(n)
+            stepping.add(me)
+            time.sleep(1e-4)  # frees the GIL for any thread that could enter
+            z *= 2.0
+            crowds.append(len(stepping))
+            assert len(stepping) <= 1
+            stepping.discard(me)
+        return np.zeros(n)
+
+    _switching_often(lambda: verify._simulate(block_fn, 1.0, 6 * 64, 20, seed=5, workers=3,
+                                              discretized=True))
+    assert len(crowds) == 6 * 20
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_failing_block_leaves_the_turn_free(monkeypatch, workers):
+    monkeypatch.setattr(verify, "BLOCK_SIZE", 64)
+    block_2 = _block_generator(7, 2).standard_normal(32)
+
+    def block_fn(rng, n, t, n_steps):
+        for _ in range(n_steps):
+            if np.array_equal(rng.standard_normal(n)[:32], block_2):
+                rng.poisson(-1.0, n)  # raises inside a draw, off the turn
+        return np.zeros(n)
+
+    outcome = []
+
+    def runs():
+        with pytest.raises(ValueError, match="lam"):
+            verify._simulate(block_fn, 1.0, 6 * 64, 10, seed=7, workers=workers,
+                             discretized=True)
+        # a turn left held would stall the later blocks of either run
+        outcome.append(verify._simulate(lambda rng, n, t, n_steps: rng.random(n), 1.0, 6 * 64,
+                                        10, seed=7, workers=workers, discretized=True))
+
+    runner = threading.Thread(target=lambda: _switching_often(runs), daemon=True)
+    runner.start()
+    runner.join(timeout=30.0)
+    assert not runner.is_alive() and len(outcome) == 1
 
 
 def test_standard_error_is_taken_over_the_units(monkeypatch):
@@ -418,7 +482,7 @@ class _CountingRng:
 @pytest.mark.parametrize("kind, model, kernel, two_normal", TWO_NORMAL_KERNELS,
                          ids=[k[0] for k in TWO_NORMAL_KERNELS])
 def test_conditional_kernels_draw_one_normal_row_per_step(kind, model, kernel, two_normal):
-    rng = _CountingRng(verify._AntitheticNormals(_philox(3, 0)))
+    rng = _CountingRng(verify._AntitheticNormals(_block_generator(3, 0)))
     kernel(model, 0.5, 1.0, 20, rng, 100)
     assert rng.calls == [("standard_normal", (100,), {})] * 20
 
