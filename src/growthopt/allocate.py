@@ -195,7 +195,10 @@ def optimal_jump(p: JumpDiffusionParams, u: Utility) -> AllocationDecision:
     kept at an end that two steps in a row leave in place (the Illinois
     rule; Dowell and Jarratt, BIT 11, 1971) makes false position converge
     superlinearly. The search stops at |slope| <= 1e-12 or a bracket of at
-    most 1e-14.
+    most 1e-14. A slope that spans hundreds of orders of magnitude over the
+    bracket (a constant jump y near 0 at alpha = 1) can hold false position
+    near one end for all of its 200 steps; bisection then closes what is
+    left of the bracket.
     """
     theta = u.theta
     slope0 = theta * (p.mu - p.r) + p.lambda_j * theta * (p.jump.mean() - 1.0)
@@ -226,6 +229,13 @@ def optimal_jump(p: JumpDiffusionParams, u: Utility) -> AllocationDecision:
             side = -1
         if hi - lo <= 1e-14:
             break
+    else:
+        while hi - lo > 1e-14:
+            dagger = 0.5 * (lo + hi)
+            s = _jump_slope(p, u, dagger)
+            if abs(s) <= 1e-12:
+                break
+            lo, hi = (dagger, hi) if s > 0.0 else (lo, dagger)
     return _decide(p, u, dagger, CASE_INTERIOR, dagger)
 
 

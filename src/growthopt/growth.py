@@ -212,13 +212,18 @@ def lambda_heston(p: HestonParams, u: Utility, alpha: ArrayLike) -> ArrayLike:
 
 
 def lambda_three_halves(p: ThreeHalvesParams, u: Utility, alpha: ArrayLike) -> ArrayLike:
-    """3/2 growth rate, the shared form with m = kappa + delta^2/2 and rho = 0, divided
-    through by delta^2; independent of the initial variance nu0."""
+    """3/2 growth rate, the shared form with m = kappa + delta^2/2, d = delta and
+    rho = 0; independent of the initial variance nu0.
+
+    For delta > 1, m and av are divided by delta^2 and d by delta, which
+    leaves the rate as it is and keeps delta^2 from overflowing m.
+    """
     a = _clamp_alpha(alpha)
     theta = u.theta
-    c = 0.5 + p.kappa / (p.delta * p.delta)
-    q = a * a * (theta - theta * theta) / (p.delta * p.delta)
-    return _variance_rate(p, theta, a, c, q, 1.0)
+    g = p.delta if p.delta > 1.0 else 1.0
+    d = p.delta / g
+    av = a * a * ((theta - theta * theta) / g / g)
+    return _variance_rate(p, theta, a, p.kappa / g / g + 0.5 * d * d, av, d)
 
 
 def laplace_three_halves_finite_t(
@@ -229,13 +234,13 @@ def laplace_three_halves_finite_t(
     Evaluates E[exp(-lambda_l * integral of nu over [0, t])] through the
     Kummer-function closed form. The gamma prefactor and the power of the
     shrinking argument are combined in log space so the expression stays
-    finite for any horizon. Raises DomainExceeded when the model's constants
-    leave the float range.
+    finite for any horizon; at lambda_l = 0 the value is exactly 1.0. Raises
+    DomainExceeded when the model's constants leave the float range.
     """
     lambda_l = float(lambda_l)
     t = float(t)
-    if not (math.isfinite(lambda_l) and lambda_l > 0.0):
-        raise OutOfRange(f"lambda_l must be > 0, got {lambda_l}")
+    if not (math.isfinite(lambda_l) and lambda_l >= 0.0):
+        raise OutOfRange(f"lambda_l must be >= 0, got {lambda_l}")
     if not (math.isfinite(t) and t > 0.0):
         raise OutOfRange(f"t must be > 0, got {t}")
     d2, c, kg = _three_halves_constants(p)
@@ -367,12 +372,21 @@ def jump_derivative_moment(law: JumpLaw, u: Utility, alpha: float) -> float:
 
     Closed forms for constant and exponential jumps (the latter through a
     scaled upper incomplete gamma, or its asymptotic series at small alpha);
-    density laws are integrated adaptively.
+    density laws are integrated adaptively. Raises DomainExceeded when a
+    constant law's slope leaves the float range, which a jump y near 0
+    does at alpha = 1.
     """
     a = _clamp_alpha(float(alpha))
     theta = u.theta
     if isinstance(law, ConstantJump):
-        return (a * (law.y - 1.0) + 1.0) ** (theta - 1.0) * (law.y - 1.0)
+        # a*y + (1 - a) keeps a y below 2^-53, which a*(y - 1) + 1 rounds to 0
+        try:
+            return (a * law.y + (1.0 - a)) ** (theta - 1.0) * (law.y - 1.0)
+        except OverflowError as exc:
+            raise DomainExceeded(
+                f"constant-law jump slope leaves the float range at jump_y={law.y!r}, "
+                f"alpha={a!r}"
+            ) from exc
     if a == 0.0:
         return law.mean() - 1.0
     if isinstance(law, ExponentialJump):

@@ -142,19 +142,20 @@ def _kummer_series(a: float, b: float, z: float):
 def kummer_m(a: float, b: float, z: float) -> SpecFunResult:
     """Confluent hypergeometric function M(a, b, z).
 
-    Supported for |z| <= 700. Negative arguments are routed through the
-    transformation M(a,b,z) = exp(z) * M(b-a, b, -z) whenever that yields a
-    positive-term (cancellation-free) series.
+    Supported for |z| <= 700, and exactly 1.0 at z = 0 or a = 0. Negative
+    arguments are routed through the transformation
+    M(a,b,z) = exp(z) * M(b-a, b, -z) whenever that yields a positive-term
+    (cancellation-free) series.
     """
     a, b, z = float(a), float(b), float(z)
     if b <= 0.0 and b == math.floor(b):
         raise PoleAtB(f"M(a, b, z) has a pole at b = {b}")
+    if z == 0.0 or a == 0.0:  # M(a, b, 0) = M(0, b, z) = 1, for any z
+        return SpecFunResult(1.0, 0.0)
     if abs(z) > KUMMER_MAX_ABS_Z:
         raise DomainExceeded(
             f"|z| = {abs(z)} exceeds the supported Kummer domain {KUMMER_MAX_ABS_Z}"
         )
-    if z == 0.0:
-        return SpecFunResult(1.0, 0.0)
     if z < 0.0 and b > 0.0:
         # With b > 0 the transformed series has at most a few early sign
         # changes, unlike the raw series whose alternating terms reach

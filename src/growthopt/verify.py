@@ -20,8 +20,10 @@ threads no longer trade the GIL around each of those calls.
 
 A time-stepped block allocates a fixed set of path arrays once and
 updates them in place, allocating nothing per step: at 16,384 paths,
-7 x 128 KiB for Heston, 5 for 3/2 and Vasicek and 6 for the 3/2 Laplace
-transform, each count including the block's normal buffer. The arrays
+7 x 128 KiB for Heston and 5 for Vasicek and for the 3/2 variance path,
+each count including the block's normal buffer. Both 3/2 estimators step
+that one path and integrate nu by the trapezoid rule; the growth
+estimator then allocates one more array, its log-return. The arrays
 belong to one block's call, so worker threads never share them.
 """
 
@@ -313,49 +315,52 @@ def _log_ratio_heston(p: HestonParams, alpha, t, n_steps, rng, size):
     return log_ratio, nu_sum
 
 
-def _recip_cir_step(p: ThreeHalvesParams, x, dt, dw, *, x_plus=None, work=None):
-    """Full-truncation Euler step of x = 1/nu, which follows a CIR process.
+def _three_halves_integrated_variance(p: ThreeHalvesParams, rng, size, t, n_steps):
+    """The trapezoid rule's integral of nu over [0, t] along simulated 3/2 paths.
 
-    Updates ``x`` in place and returns ``(x, x_plus)`` with x_plus = max(x, 0)
-    taken before the step. ``x_plus`` and ``work`` are buffers of x's shape
-    that the caller keeps across steps; they are allocated when not given.
+    x = 1/nu follows a CIR process, stepped by full-truncation Euler with
+    one normal row per step; after each step nu = 1/max(x, _RECIP_FLOOR),
+    and nu0 itself stands at t = 0. The sum is
+    dt (nu_1 + ... + nu_n + (nu0 - nu_n)/2), one add per step.
     """
-    x_plus = np.maximum(x, 0.0, out=x_plus)
-    # x + (kappa + delta^2 - kappa gamma_level x+) dt - delta sqrt(x+) dW
-    work = np.multiply(x_plus, p.kappa * p.gamma_level, out=work)
-    np.subtract(p.kappa + p.delta * p.delta, work, out=work)
-    work *= dt
-    x += work
-    np.sqrt(x_plus, out=work)
-    work *= p.delta
-    work *= dw
-    x -= work
-    return x, x_plus
+    dt = t / n_steps
+    sq_dt = math.sqrt(dt)
+    x = np.full(size, 1.0 / p.nu0)
+    nu_sum = np.zeros(size)
+    nu, work = np.empty(size), np.empty(size)
+    for _ in range(n_steps):
+        dw = rng.standard_normal(size)
+        dw *= sq_dt
+        x_plus = np.maximum(x, 0.0, out=nu)
+        # x + (kappa + delta^2 - kappa gamma_level x+) dt - delta sqrt(x+) dW
+        np.multiply(x_plus, p.kappa * p.gamma_level, out=work)
+        np.subtract(p.kappa + p.delta * p.delta, work, out=work)
+        work *= dt
+        x += work
+        np.sqrt(x_plus, out=work)
+        work *= p.delta
+        work *= dw
+        x -= work
+        np.maximum(x, _RECIP_FLOOR, out=nu)
+        nu_sum += np.divide(1.0, nu, out=nu)
+    np.subtract(p.nu0, nu, out=nu)
+    nu *= 0.5
+    nu_sum += nu
+    nu_sum *= dt
+    return nu_sum
 
 
 def _log_ratio_three_halves(p: ThreeHalvesParams, alpha, t, n_steps, rng, size):
     """Euler log-return without the stock's own normal, and that term's variance.
 
     The stock's noise is independent of the variance's, so given the path
-    the stock term is Gaussian with variance alpha^2 dt sum nu.
+    the stock term is Gaussian with variance alpha^2 times the integral of nu.
     """
-    dt = t / n_steps
-    sq_dt = math.sqrt(dt)
-    x = np.full(size, 1.0 / p.nu0)
-    nu_sum = np.zeros(size)
-    x_plus, work = np.empty(size), np.empty(size)
-    for _ in range(n_steps):
-        dw = rng.standard_normal(size)
-        dw *= sq_dt
-        _recip_cir_step(p, x, dt, dw, x_plus=x_plus, work=work)
-        np.maximum(x_plus, _RECIP_FLOOR, out=work)
-        nu_sum += np.divide(1.0, work, out=work)
-    drift = (alpha * p.mu + (1.0 - alpha) * p.r) * t
-    a2_dt = alpha * alpha * dt
-    log_ratio = np.multiply(nu_sum, 0.5 * a2_dt, out=x)
-    np.subtract(drift, log_ratio, out=log_ratio)
-    nu_sum *= a2_dt
-    return log_ratio, nu_sum
+    cond_var = _three_halves_integrated_variance(p, rng, size, t, n_steps)
+    cond_var *= alpha * alpha
+    log_ratio = np.multiply(cond_var, -0.5)
+    log_ratio += (alpha * p.mu + (1.0 - alpha) * p.r) * t
+    return log_ratio, cond_var
 
 
 def _log_ratio_jump(p: JumpDiffusionParams, alpha, t, n_steps, rng, size):
@@ -428,30 +433,8 @@ def _log_ratio_vasicek(p: VasicekParams, alpha, t, n_steps, rng, size):
 
 
 def _laplace_three_halves_block(p: ThreeHalvesParams, lambda_l, rng, size, t, n_steps):
-    """exp(-lambda_l * the trapezoid rule's integral of nu = 1/x) for one block.
-
-    x steps through ``_recip_cir_step``; each step updates the block's five
-    work arrays in place.
-    """
-    dt = t / n_steps
-    sq_dt = math.sqrt(dt)
-    x = np.full(size, 1.0 / p.nu0)
-    x_plus = np.empty(size)
-    nu_cur = np.full(size, p.nu0)
-    nu_next = np.empty(size)
-    integral = np.zeros(size)
-    for _ in range(n_steps):
-        dw = rng.standard_normal(size)
-        dw *= sq_dt
-        _recip_cir_step(p, x, dt, dw, x_plus=x_plus, work=nu_next)
-        np.maximum(x, _RECIP_FLOOR, out=nu_next)
-        np.divide(1.0, nu_next, out=nu_next)
-        # the trapezoid 0.5 (nu + nu_next) dt, in nu's buffer, which nu_next then takes
-        nu_cur += nu_next
-        nu_cur *= 0.5
-        nu_cur *= dt
-        integral += nu_cur
-        nu_cur, nu_next = nu_next, nu_cur
+    """exp(-lambda_l * the integral of nu) for one block of simulated 3/2 paths."""
+    integral = _three_halves_integrated_variance(p, rng, size, t, n_steps)
     integral *= -lambda_l
     return np.exp(integral, out=integral)
 
@@ -606,12 +589,13 @@ def mc_growth_estimate(
 
     Lognormal and jump-diffusion wealth is sampled exactly; the Heston
     variance uses full-truncation Euler, the 3/2 variance is simulated
-    through its reciprocal (a CIR process, again full truncation), and the
-    OU rate uses its exact Gaussian transition with a trapezoidal rate
-    integral. For these three the stock's own normal is independent of the
-    variance or rate path and is integrated out given it (conditional Monte
-    Carlo): a path with log-return L0 without that term and conditional
-    variance v of it contributes E[e^{theta L} | path] = exp(theta L0 + theta^2 v/2),
+    through its reciprocal (a CIR process, again full truncation) with a
+    trapezoidal variance integral, and the OU rate uses its exact Gaussian
+    transition with a trapezoidal rate integral. For these three the
+    stock's own normal is independent of the variance or rate path and is
+    integrated out given it (conditional Monte Carlo): a path with
+    log-return L0 without that term and conditional variance v of it
+    contributes E[e^{theta L} | path] = exp(theta L0 + theta^2 v/2),
     the same scheme with the same expectation from half the normals. The
     standard error of the log-mean comes from the delta method.
 

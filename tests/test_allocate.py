@@ -189,6 +189,17 @@ def test_jump_root_finder_takes_few_slopes_and_keeps_a_sign_change(monkeypatch):
         assert abs(d.alpha_star - numeric_argmax(p, u)) <= 1e-6
 
 
+def test_jump_constant_y_near_zero_is_right_or_a_typed_error():
+    # a*(y - 1) + 1 rounds y = 5e-324 away, and the slope at 1, -y^(theta - 1),
+    # is -4.5e161 at theta = 0.5 and beyond the float range at theta = 0.01
+    p = JumpDiffusionParams(mu=2.0, sigma=0.2, lambda_j=1.0, jump=ConstantJump(y=5e-324), r=0.03)
+    d = optimal_jump(p, U)
+    assert d.case_label == "Interior"
+    assert abs(d.alpha_star - numeric_argmax(p, U)) <= 1e-6
+    with pytest.raises(DomainExceeded, match="jump_y=5e-324"):
+        optimal_jump(p, Utility(0.01))
+
+
 def test_vasicek_convex_tie_goes_to_bond():
     # every quantity dyadic: gamma + delta^2 theta/(2 kappa^2) == (theta-1) sigma^2/2 + mu
     p = VasicekParams(mu=0.5, sigma=0.5, kappa=0.5, gamma_level=0.1875, delta=0.5, rho=0.0, r0=0.03)

@@ -13,6 +13,7 @@ from growthopt import (
     MissingKey,
     TypeMismatch,
     UnknownKey,
+    numeric_argmax,
 )
 from growthopt.cli import parse_config, run
 from reference import variance_argmax, variance_rate
@@ -226,6 +227,33 @@ def test_transform_pass(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["pass"] is True
     assert abs(payload["closed_form"] - payload["mc_mean"]) <= 3 * payload["mc_se"]
+
+
+def test_transform_bond_only_passes(tmp_path, capsys):
+    # lambda_l = 0: the closed form and every path are exactly 1.0
+    cfg = write(tmp_path, "t.cfg", REFERENCE_CONFIGS["three_halves"] + "utility.theta = 0.5\n")
+    assert run(["transform-3-2", "--config", cfg, "--alpha", "0", "--paths", "2000",
+                "--steps", "100"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"closed_form": 1.0, "mc_mean": 1.0, "mc_se": 0.0, "pass": True}
+
+
+@pytest.mark.parametrize("theta", ["0.5", "0.01"])
+def test_constant_jump_near_zero_optimal_is_right_or_exits_2(tmp_path, theta):
+    text = ("model.kind = jump\nmodel.mu = 2\nmodel.sigma = 0.2\nmodel.lambda_j = 1\n"
+            "model.jump_kind = constant\nmodel.jump_y = 5e-324\nmodel.r = 0.03\n"
+            f"utility.theta = {theta}\n")
+    cfg = write(tmp_path, "j.cfg", text)
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "growthopt.cli", "optimal", "--config", cfg],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode in (0, 2) and "Traceback" not in proc.stderr, proc.stderr
+    if proc.returncode == 0:
+        parsed = parse_config(text)
+        want = numeric_argmax(parsed.model, parsed.utility)
+        assert abs(json.loads(proc.stdout)["alpha_star"] - want) <= 1e-6
 
 
 def test_transform_requires_three_halves(tmp_path):

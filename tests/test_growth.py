@@ -180,14 +180,24 @@ def test_growth_rate_raises_domain_exceeded_when_not_finite():
         growth_curve(model, U, 11)
 
 
+def _assert_three_halves_rate_is_finite_and_right(model, alpha):
+    got = growth_rate(model, U, alpha)
+    for a, value in zip(np.atleast_1d(alpha).tolist(), np.atleast_1d(got).tolist()):
+        if a == 0.0:
+            assert value == U.theta * model.r
+        else:
+            want = variance_rate(model, U, a)
+            assert abs(value - want) <= 1e-14 * abs(want) + 1e-16, (a, value, want)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("alpha", [0.0, 1.0, np.linspace(0.0, 1.0, 5)])
-def test_three_halves_rate_raises_when_kappa_over_delta_squared_overflows(alpha):
-    # c = 1/2 + kappa/delta^2 is inf while kappa*gamma*q stays finite; the
-    # bond-only value would drop gamma*alpha^2*(theta - theta^2)/2 = 0.375
+def test_three_halves_rate_is_finite_when_kappa_over_delta_squared_overflows(alpha):
+    # kappa/delta^2 is inf, but m = kappa + delta^2/2 and the product
+    # kappa*gamma*alpha^2*(theta - theta^2) stay finite: at alpha = 1 the
+    # rate lies gamma*alpha^2*(theta - theta^2)/2 = 0.375 below the bond-only value
     model = replace(THREE_HALVES, kappa=2e8, gamma_level=3.0, delta=1e-150)
-    with pytest.raises(DomainExceeded, match="three_halves growth rate is not finite"):
-        growth_rate(model, U, alpha)
+    _assert_three_halves_rate_is_finite_and_right(model, alpha)
 
 
 def test_heston_coefficients_examples():
@@ -261,7 +271,7 @@ EXTREMES = [dict(kappa=k) for k in (1e14, 1e17, 1e40, 1e52, 1e155, 1e300)] + [
     dict(delta=1e-60), dict(delta=1e-200)]
 VARIANCE_TABLE = (
     [replace(HESTON, **change) for change in EXTREMES]
-    # at delta = 1e-200 the 3/2 rate raises (test_growth_rate_divisor_underflow_...)
+    # delta = 1e-200 for 3/2 is test_growth_rate_is_finite_when_delta_squared_underflows
     + [replace(THREE_HALVES, **change) for change in EXTREMES[:-1]]
     # m = kappa - delta*theta*rho*alpha < 0 from alpha = 0.22
     + [HestonParams(mu=0.08, kappa=0.1, gamma_level=10.0, delta=1.0, rho=0.9, r=0.03, nu0=0.04)]
@@ -290,10 +300,10 @@ def test_variance_rates_and_optima_match_reference(model):
 
 
 @pytest.mark.filterwarnings("error")
-def test_growth_rate_divisor_underflow_raises_domain_exceeded():
-    # delta^2 underflows to 0, so kappa / delta^2 divides by zero.
-    with pytest.raises(DomainExceeded, match="three_halves growth rate is not finite"):
-        growth_rate(replace(THREE_HALVES, delta=1e-200), U, 0.5)
+@pytest.mark.parametrize("alpha", [0.0, 0.5, np.linspace(0.0, 1.0, 5)])
+def test_growth_rate_is_finite_when_delta_squared_underflows(alpha):
+    # delta^2 underflows to 0; m = kappa + delta^2/2 does not divide by it
+    _assert_three_halves_rate_is_finite_and_right(replace(THREE_HALVES, delta=1e-200), alpha)
 
 
 @pytest.mark.parametrize("kind", sorted(DRAWERS))
@@ -397,6 +407,19 @@ def test_laplace_transform_long_horizon_limit():
     limit = -a * THREE_HALVES.kappa * THREE_HALVES.gamma_level
     value = laplace_three_halves_finite_t(THREE_HALVES, lambda_l, 200.0)
     assert math.log(value) / 200.0 == pytest.approx(limit, abs=1e-4)
+
+
+@pytest.mark.parametrize("t", [1.0, 1e-3, 200.0])
+def test_laplace_transform_at_zero_rate_is_exactly_one(t):
+    # the bond-only transform, which Monte Carlo returns with SE 0
+    assert laplace_three_halves_finite_t(THREE_HALVES, 0.0, t) == 1.0
+
+
+def test_constant_jump_slope_keeps_a_tiny_y():
+    law = ConstantJump(y=5e-324)
+    assert jump_derivative_moment(law, U, 1.0) == -(5e-324 ** -0.5)
+    with pytest.raises(DomainExceeded, match="jump_y=5e-324"):
+        jump_derivative_moment(law, Utility(0.01), 1.0)
 
 
 def test_laplace_transform_rejects_tiny_horizon():

@@ -68,11 +68,13 @@ def _allocating_three_halves(p, alpha, t, n_steps, rng, size):
     x = np.full(size, 1.0 / p.nu0)
     nu_sum = np.zeros(size)
     for _ in range(n_steps):
-        x, x_plus = _allocating_recip_cir_step(p, x, dt, sq_dt * rng.standard_normal(size))
-        nu_sum += 1.0 / np.maximum(x_plus, verify._RECIP_FLOOR)
+        x, _ = _allocating_recip_cir_step(p, x, dt, sq_dt * rng.standard_normal(size))
+        nu = 1.0 / np.maximum(x, verify._RECIP_FLOOR)
+        nu_sum += nu
+    # the trapezoid rule, nu0 at t = 0
+    a2_integral = alpha * alpha * ((nu_sum + 0.5 * (p.nu0 - nu)) * dt)
     drift = (alpha * p.mu + (1.0 - alpha) * p.r) * t
-    a2_dt = alpha * alpha * dt
-    return drift - 0.5 * a2_dt * nu_sum, a2_dt * nu_sum
+    return drift - 0.5 * a2_integral, a2_integral
 
 
 def _allocating_vasicek(p, alpha, t, n_steps, rng, size):

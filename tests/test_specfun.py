@@ -41,6 +41,13 @@ def test_kummer_at_zero_is_one():
         assert res.est_abs_error == 0.0
 
 
+def test_kummer_with_a_zero_is_exactly_one():
+    # M(0, b, z) = 1; the Kummer transformation alone gave 0.9999999999999998
+    for b, z in [(2.5, -0.5), (18.1, -192.0), (1.5, 3.0), (2.0, -800.0)]:
+        res = kummer_m(0.0, b, z)
+        assert (res.value, res.est_abs_error) == (1.0, 0.0)
+
+
 def test_kummer_exponential_identity():
     res = kummer_m(1.0, 1.0, -1.0)
     assert res.value == pytest.approx(math.exp(-1.0), rel=1e-12)

@@ -32,6 +32,7 @@ from growthopt import (
     mc_laplace_three_halves,
 )
 
+from reference import laplace_three_halves_reference
 from support import draw_heston, draw_utility, draw_vasicek
 
 U = Utility(0.5)
@@ -409,14 +410,20 @@ def _two_normal_three_halves(p, alpha, t, n_steps, rng, size):
     sq_dt = math.sqrt(dt)
     drift_dt = (alpha * p.mu + (1.0 - alpha) * p.r) * dt
     x = np.full(size, 1.0 / p.nu0)
+    nu = np.full(size, p.nu0)
     lr = np.zeros(size)
     for _ in range(n_steps):
         dw = sq_dt * rng.standard_normal(size)
         db = sq_dt * rng.standard_normal(size)
-        x_next, x_plus = verify._recip_cir_step(p, x, dt, dw)
-        nu = 1.0 / np.maximum(x_plus, verify._RECIP_FLOOR)
-        lr += drift_dt - 0.5 * alpha * alpha * nu * dt + alpha * np.sqrt(nu) * db
-        x = x_next
+        x_plus = np.maximum(x, 0.0)
+        x = (x + (p.kappa + p.delta * p.delta - p.kappa * p.gamma_level * x_plus) * dt
+             - p.delta * np.sqrt(x_plus) * dw)
+        nu_next = 1.0 / np.maximum(x, verify._RECIP_FLOOR)
+        # the step's average variance, so that the stock term's conditional
+        # variance is alpha^2 times the trapezoid rule's integral of nu
+        nu_step = 0.5 * (nu + nu_next)
+        lr += drift_dt - 0.5 * alpha * alpha * nu_step * dt + alpha * np.sqrt(nu_step) * db
+        nu = nu_next
     return lr, 0.0
 
 
@@ -517,6 +524,37 @@ def test_mc_laplace_deterministic_across_workers():
         for w in (1, 4)
     ]
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("alpha, t, n_steps, workers", [
+    (0.5, 1.0, 20, 1), (0.3, 2.0, 40, 2), (1.0, 0.5, 10, 3), (0.0, 1.0, 10, 1),
+])
+def test_three_halves_growth_estimate_is_the_laplace_estimate(monkeypatch, alpha, t, n_steps,
+                                                              workers):
+    # Given the variance path the growth estimator's path value is
+    # exp(theta*drift*t) exp(-lambda_l * integral of nu): both estimators step
+    # one path and integrate nu by one rule, so the two estimates agree up to
+    # rounding, blocks and seeds alike.
+    monkeypatch.setattr(verify, "BLOCK_SIZE", 1_000)
+    theta = U.theta
+    lambda_l = 0.5 * alpha * alpha * (theta - theta * theta)
+    growth = mc_growth_estimate(THREE_HALVES, U, alpha, t, 2_500, n_steps, seed=21,
+                                workers=workers)
+    laplace = mc_laplace_three_halves(THREE_HALVES, lambda_l, t, 2_500, n_steps, seed=21,
+                                      workers=workers)
+    drift = theta * (alpha * THREE_HALVES.mu + (1.0 - alpha) * THREE_HALVES.r)
+    assert growth.lambda_hat == pytest.approx(drift + math.log(laplace.mean) / t, rel=1e-12)
+
+
+def test_three_halves_growth_estimate_matches_the_exact_finite_horizon_rate():
+    # the golden settings; lambda_t = theta (alpha mu + (1 - alpha) r) + log L(lambda_l, t) / t
+    # is exact for the continuous model at horizon t, unlike the long-run rate
+    alpha, t, theta = 0.5, 1.0, U.theta
+    est = mc_growth_estimate(THREE_HALVES, U, alpha, t, 20_000, 20, seed=0x5EED)
+    lambda_l = 0.5 * alpha * alpha * (theta - theta * theta)
+    exact = (theta * (alpha * THREE_HALVES.mu + (1.0 - alpha) * THREE_HALVES.r)
+             + math.log(laplace_three_halves_reference(THREE_HALVES, lambda_l, t)) / t)
+    assert abs(est.lambda_hat - exact) <= 3.0 * est.std_error
 
 
 def _stepwise_rk4_trace(qa, qb, qc, pa, pb, b0, t_end, dt, b_limit):
