@@ -18,10 +18,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InternalInvariantViolation, OutOfRange
+from .errors import DomainExceeded, InternalInvariantViolation, OutOfRange
 from .growth import (
     _float_range_error,
-    _three_halves_constants,
     growth_rate,
     jump_derivative_moment,
 )
@@ -134,7 +133,8 @@ def _variance_decision(p, u: Utility, m0: float, rho: float) -> AllocationDecisi
     e = theta*(mu - r)*delta/(kappa*gamma): the bond iff mu <= r, the stock
     iff e >= b + sqrt(w) or d = v + e*(2b - e) rounds to <= 0 (only within
     rounding of that edge), else alpha = (m0/delta)(b - s*sqrt(v/d))/w with
-    s = b - e, rationalised where b*s > 0, and clamped to one. An alpha
+    s = b - e, rationalised where b*s > 0, with m0*e/delta formed as
+    m0*theta*(mu - r)/(kappa*gamma) at b = 0, and clamped to one. An alpha
     beyond the float range raises DomainExceeded.
     """
     theta = u.theta
@@ -155,6 +155,8 @@ def _variance_decision(p, u: Utility, m0: float, rho: float) -> AllocationDecisi
     if b < 0.0 or b > e:  # b*s > 0, as signs: the product can underflow
         # m0*x/kg is m0*e/delta without e, which underflows first
         dagger = m0 * x / kg * (b + s) / (d * b + s * math.sqrt(v * d))
+    elif b == 0.0:  # m0*x/kg stays finite where m0/delta overflows
+        dagger = m0 * (x / kg) * math.sqrt(v / d) / w
     else:
         dagger = m0 / p.delta * (b - s * math.sqrt(v / d)) / w
     if not dagger < math.inf:  # the scale m0*x/kg or m0/delta leaves the float range
@@ -171,9 +173,10 @@ def optimal_heston(p: HestonParams, u: Utility) -> AllocationDecision:
 
 def optimal_three_halves(p: ThreeHalvesParams, u: Utility) -> AllocationDecision:
     """Bond-only / stock-only / interior split of the 3/2 growth rate; raises
-    DomainExceeded when kappa*gamma_level or kappa/delta^2 leaves the float range."""
-    d2, _, _ = _three_halves_constants(p)
-    return _variance_decision(p, u, p.kappa + 0.5 * d2, 0.0)
+    DomainExceeded when kappa*gamma_level leaves the float range."""
+    if not p.kappa * p.gamma_level < math.inf:
+        raise _float_range_error("3/2 coefficients", p)
+    return _variance_decision(p, u, p.kappa + 0.5 * p.delta * p.delta, 0.0)
 
 
 def _jump_slope(p: JumpDiffusionParams, u: Utility, alpha: float) -> float:
@@ -204,7 +207,10 @@ def optimal_jump(p: JumpDiffusionParams, u: Utility) -> AllocationDecision:
     slope0 = theta * (p.mu - p.r) + p.lambda_j * theta * (p.jump.mean() - 1.0)
     if slope0 <= 0.0:
         return _decide(p, u, 0.0, CASE_BOND_ONLY)
-    slope1 = _jump_slope(p, u, 1.0)
+    try:
+        slope1 = _jump_slope(p, u, 1.0)
+    except DomainExceeded:  # y^(theta-1)*(y-1) overflows, so y is near 0 and y - 1 < 0
+        slope1 = -math.inf
     if slope1 >= 0.0:
         return _decide(p, u, 1.0, CASE_STOCK_ONLY)
     lo, hi, s_lo, s_hi = 0.0, 1.0, slope0, slope1

@@ -300,7 +300,7 @@ def _cmd_verify_mc(args, cfg: RunConfig) -> int:
 def _cmd_transform(args, cfg: RunConfig) -> int:
     if kind_of(cfg.model) != "three_halves":
         raise InvalidParameters(["transform-3-2 requires a three_halves model"])
-    alpha = _opt(args, cfg, "alpha", 0.5)
+    alpha = growth._clamp_alpha(_opt(args, cfg, "alpha", 0.5))
     t = _opt(args, cfg, "t", 1.0)
     paths = _opt(args, cfg, "paths", 100_000)
     steps = _opt(args, cfg, "steps", max(1, round(100 * t)))

@@ -6,7 +6,9 @@ The Heston and 3/2 rates share the form
 theta*(alpha*mu + (1-alpha)*r) + (kappa*gamma/delta^2)(m - R) with
 R = sqrt(m^2 + delta^2 alpha^2 (theta - theta^2)). Where m > 0, m - R is
 rationalized to -delta^2 alpha^2 (theta - theta^2)/(m + R), so theta * r is
-exact at alpha = 0 and nothing cancels as kappa/delta grows.
+exact at alpha = 0 and nothing cancels as kappa/delta grows. For Heston the
+second term is A' - kappa*gamma*B(0), with A' = kappa*gamma*B_inf taken at
+B_inf, the stable root of the Riccati quadratic that ``verify`` integrates.
 """
 
 from __future__ import annotations
@@ -138,18 +140,13 @@ def _float_range_error(what: str, p, names=("kappa", "gamma_level", "delta")) ->
     return DomainExceeded(f"{what} leave the float range at {values}")
 
 
-def _three_halves_constants(p: ThreeHalvesParams):
-    """(delta^2, c = 1/2 + kappa/delta^2, kappa*gamma_level) of the 3/2 model.
-
-    Raises DomainExceeded when delta^2 underflows or c or kappa*gamma_level
-    overflows.
-    """
-    d2 = p.delta * p.delta
-    kg = p.kappa * p.gamma_level
-    c = 0.5 + p.kappa / d2 if d2 > 0.0 else math.inf
-    if not (math.isfinite(c) and math.isfinite(kg)):
-        raise _float_range_error("3/2 coefficients", p)
-    return d2, c, kg
+def _three_halves_form(p: ThreeHalvesParams, v: float):
+    """(m, v, d) of the 3/2 model's shared form, m = kappa + delta^2/2 and d = delta,
+    with v, R's factor of d^2, passed in; for delta > 1, m and v over delta^2 and d
+    over delta leave R/d^2 as it is and keep delta^2 from overflowing m."""
+    g = p.delta if p.delta > 1.0 else 1.0
+    d = p.delta / g
+    return p.kappa / g / g + 0.5 * d * d, v / g / g, d
 
 
 def _diffusion_growth(mu, r, sigma, theta, alpha):
@@ -213,17 +210,11 @@ def lambda_heston(p: HestonParams, u: Utility, alpha: ArrayLike) -> ArrayLike:
 
 def lambda_three_halves(p: ThreeHalvesParams, u: Utility, alpha: ArrayLike) -> ArrayLike:
     """3/2 growth rate, the shared form with m = kappa + delta^2/2, d = delta and
-    rho = 0; independent of the initial variance nu0.
-
-    For delta > 1, m and av are divided by delta^2 and d by delta, which
-    leaves the rate as it is and keeps delta^2 from overflowing m.
-    """
+    rho = 0 (``_three_halves_form``); independent of the initial variance nu0."""
     a = _clamp_alpha(alpha)
     theta = u.theta
-    g = p.delta if p.delta > 1.0 else 1.0
-    d = p.delta / g
-    av = a * a * ((theta - theta * theta) / g / g)
-    return _variance_rate(p, theta, a, p.kappa / g / g + 0.5 * d * d, av, d)
+    m, v, d = _three_halves_form(p, theta - theta * theta)
+    return _variance_rate(p, theta, a, m, a * a * v, d)
 
 
 def laplace_three_halves_finite_t(
@@ -232,7 +223,9 @@ def laplace_three_halves_finite_t(
     """Finite-horizon Laplace transform of the integrated 3/2 variance.
 
     Evaluates E[exp(-lambda_l * integral of nu over [0, t])] through the
-    Kummer-function closed form. The gamma prefactor and the power of the
+    Kummer-function closed form, whose a = av/(m + R) and b = 1 + 2R/d^2
+    come from the 3/2 rate's shared form at av = 2*lambda_l (the rate's
+    alpha^2 (theta - theta^2)). The gamma prefactor and the power of the
     shrinking argument are combined in log space so the expression stays
     finite for any horizon; at lambda_l = 0 the value is exactly 1.0. Raises
     DomainExceeded when the model's constants leave the float range.
@@ -243,18 +236,22 @@ def laplace_three_halves_finite_t(
         raise OutOfRange(f"lambda_l must be >= 0, got {lambda_l}")
     if not (math.isfinite(t) and t > 0.0):
         raise OutOfRange(f"t must be > 0, got {t}")
-    d2, c, kg = _three_halves_constants(p)
-    root = math.sqrt(c * c + 2.0 * lambda_l / d2)
-    if root == math.inf:
+    m, av, d = _three_halves_form(p, 2.0 * lambda_l)
+    r2 = m * m + d * d * av
+    root = math.sqrt(r2) if r2 >= R2_MIN else float(_hypot(m, d * math.sqrt(av)))
+    kg = p.kappa * p.gamma_level
+    # R/d^2 = sqrt(c^2 + 2*lambda_l/delta^2), c = 1/2 + kappa/delta^2: its square stays finite
+    half_b = root / (d * d) if d * d > 0.0 else math.inf
+    if not (half_b * half_b < math.inf and kg < math.inf):
         raise _float_range_error("3/2 coefficients", p)
-    a = (2.0 * lambda_l / d2) / (root + c)
-    b = 1.0 + 2.0 * root
+    a = av / (m + root)
+    b = 1.0 + 2.0 * half_b
     x = kg * t
     # log of 2*kappa*gamma / (delta^2 nu0 (e^{kg t} - 1)), stable for large t;
     # log(1 - e^-x) takes the expm1 form for small x (Maechler, 2012)
     try:
         log1mexp = math.log(-math.expm1(-x)) if x < 0.08 else math.log1p(-math.exp(-x))
-        log_z = math.log(2.0 * kg / (d2 * p.nu0)) - (x + log1mexp)
+        log_z = math.log(2.0 * kg / (p.delta * p.delta * p.nu0)) - (x + log1mexp)
     except (ValueError, ZeroDivisionError) as exc:  # a constant underflowed to 0
         names = ("kappa", "gamma_level", "delta", "nu0")
         raise _float_range_error(f"3/2 transform constants at t={t!r}", p, names) from exc

@@ -1,8 +1,9 @@
 """Independent numeric oracles: ODE integration and Monte Carlo simulation.
 
 The ODE side integrates the exponential-ansatz systems behind the Heston
-and OU-rate growth rates with a classical fixed-step RK4 and reports the
-closed-form limits they must approach. The Monte Carlo side simulates the
+and OU-rate growth rates with a classical fixed-step RK4 and derives the
+limits they must approach from the coefficients integrated: the stable root
+of B's quadratic, and A' at that root. The Monte Carlo side simulates the
 wealth process of every model and estimates the finite-horizon growth rate
 of the expected power utility.
 
@@ -44,7 +45,7 @@ from .errors import (
     OutOfRange,
     StepSizeTooLarge,
 )
-from .growth import _clamp_alpha, _float_range_error
+from .growth import R2_MIN, _clamp_alpha, _float_range_error
 from .params import (
     ConstantJump,
     ExponentialJump,
@@ -181,17 +182,25 @@ def _rk4_quadratic_trace(qa, qb, qc, pa, pb, b0, t_end, dt, b_limit):
     return times, avals, bvals
 
 
-def _checked_trace(p, model, names, b_limit, a_slope, t_end, dt, **coeffs):
-    """Run ``_rk4_quadratic_trace`` on finite inputs to a finite end point.
+def _checked_trace(p, model, names, t_end, dt, qa, qb, qc, pa, pb, b0):
+    """Run ``_rk4_quadratic_trace`` and derive the limits it must approach.
 
-    Raises DomainExceeded, naming the parameters ``names`` of ``p``, when a
-    coefficient, the closed-form limits or the end of the trace is not
-    finite: the ODE oracle then has nothing finite to check.
+    B settles at the stable root of qa*B^2 + qb*B + qc (qb = -kappa < 0),
+    B_inf = 2qc/(sqrt(qb^2 - 4qa*qc) - qb), where nothing cancels (Higham,
+    2002, section 1.8; the square root is -qb when qa = 0), and A grows at
+    A' = B_inf*(pb + pa*B_inf). Raises DomainExceeded, naming ``names`` of
+    ``p``, when the discriminant leaves the normal float range, delta^2/2
+    (qa or pa) underflows to 0, or a coefficient, a limit or the trace's
+    end is not finite.
     """
-    if not all(map(math.isfinite, (b_limit, a_slope, *coeffs.values()))):
+    disc = qb * qb - 4.0 * qa * qc
+    root = -qb if qa == 0.0 else (math.sqrt(disc) if R2_MIN <= disc < math.inf else math.nan)
+    b_limit = 2.0 * qc / (root - qb)
+    a_slope = b_limit * (pb + pa * b_limit)
+    if not (qa + pa > 0.0 and all(map(math.isfinite, (b_limit, a_slope, qc, pb, b0)))):
         raise _float_range_error(f"{model} ODE values", p, names)
     times, avals, bvals = _rk4_quadratic_trace(
-        **coeffs, t_end=t_end, dt=dt, b_limit=b_limit
+        qa=qa, qb=qb, qc=qc, pa=pa, pb=pb, b0=b0, t_end=t_end, dt=dt, b_limit=b_limit
     )
     if not (math.isfinite(avals[-1]) and math.isfinite(bvals[-1])):
         raise _float_range_error(f"{model} ODE values", p, names)
@@ -203,31 +212,20 @@ def integrate_heston_riccati(
 ) -> OdeTrace:
     """Integrate the Heston exponent system and report its limits.
 
-    B solves the Riccati equation B' = -kappa*B + delta^2 B^2 / 2 + q and
-    converges to the smaller root; A' = kappa*gamma_level*B, so A(t)/t
-    approaches the closed-form slope entering the growth rate. Raises
+    B solves the Riccati equation B' = delta^2 B^2 / 2 - kappa*B + q and
+    converges to the stable root of that quadratic; A' = kappa*gamma_level*B
+    there is the slope of A(t)/t entering the growth rate. Raises
     DomainExceeded when the system leaves the float range.
     """
     alpha = _clamp_alpha(float(alpha))
     theta = u.theta
     k, g, d, rho = p.kappa, p.gamma_level, p.delta, p.rho
-    names = ("kappa", "gamma_level", "delta")
     q = (theta * theta * alpha * alpha * (1.0 - rho * rho) - theta * alpha * alpha) / 2.0 + (
         k * alpha * rho * theta / d
     )
-    try:
-        disc = (k - d * theta * alpha * rho) ** 2 + d * d * alpha * alpha * (
-            theta - theta * theta
-        )
-        sqrt_disc = math.sqrt(disc)
-        b_limit = (k - sqrt_disc) / (d * d)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise _float_range_error("Heston ODE values", p, names) from exc
-    a_slope = k * k * g / (d * d) - (k * g / (d * d)) * sqrt_disc
-    b0 = theta * alpha * rho / d
     return _checked_trace(
-        p, "Heston", names, b_limit, a_slope, t_end, dt,
-        qa=0.5 * d * d, qb=-k, qc=q, pa=0.0, pb=k * g, b0=b0,
+        p, "Heston", ("kappa", "gamma_level", "delta"), t_end, dt,
+        qa=0.5 * d * d, qb=-k, qc=q, pa=0.0, pb=k * g, b0=theta * alpha * rho / d,
     )
 
 
@@ -236,20 +234,18 @@ def integrate_vasicek_ode(
 ) -> OdeTrace:
     """Integrate the OU-rate exponent system.
 
-    B is linear with closed-form solution b_limit + (B(0)-b_limit)e^{-kt};
-    A' = kappa*gamma_level*B + delta^2 B^2 / 2. Raises DomainExceeded when
-    the system leaves the float range.
+    B' = -kappa*B + forcing is linear, with root B_inf = forcing/kappa and
+    B(t) = B_inf + (B(0) - B_inf)e^{-kappa t}; A' = kappa*gamma_level*B +
+    delta^2 B^2 / 2, taken at B_inf for the slope. Raises DomainExceeded
+    when the system leaves the float range.
     """
     alpha = _clamp_alpha(float(alpha))
     theta = u.theta
     k, g, d, s, rho = p.kappa, p.gamma_level, p.delta, p.sigma, p.rho
-    forcing = theta * (1.0 - alpha) + theta * alpha * s * k * rho / d
-    b_limit = theta * (1.0 - alpha) / k + theta * alpha * s * rho / d
-    a_slope = k * g * b_limit + 0.5 * d * d * b_limit * b_limit
-    b0 = theta * alpha * s * rho / d
     return _checked_trace(
-        p, "Vasicek", ("kappa", "gamma_level", "delta", "sigma"), b_limit, a_slope, t_end, dt,
-        qa=0.0, qb=-k, qc=forcing, pa=0.5 * d * d, pb=k * g, b0=b0,
+        p, "Vasicek", ("kappa", "gamma_level", "delta", "sigma"), t_end, dt,
+        qa=0.0, qb=-k, qc=theta * (1.0 - alpha) + theta * alpha * s * k * rho / d,
+        pa=0.5 * d * d, pb=k * g, b0=theta * alpha * s * rho / d,
     )
 
 

@@ -92,6 +92,23 @@ def laplace_three_halves_reference(p, lambda_l, t):
         return float(mpmath.gamma(b - a) / mpmath.gamma(b) * z**a * mpmath.hyp1f1(a, b, -z))
 
 
+def ode_limits_reference(qa, qb, qc, pa, pb):
+    """(B_inf, A') of B' = qa*B^2 + qb*B + qc, A' = pa*B^2 + pb*B at 50 digits.
+
+    B_inf is the stable root: qc/(-qb) when B' is linear, else the smaller
+    root (-qb - sqrt(qb^2 - 4qa*qc))/(2qa), whose cancellation costs
+    log10(qb^2/|qa*qc|) digits, at most about 16 of the 50 for the
+    coefficients the tests pass. A' is taken at that root.
+    """
+    with mpmath.workdps(50):
+        qa, qb, qc, pa, pb = map(mpmath.mpf, (qa, qb, qc, pa, pb))
+        if qa == 0:
+            b = -qc / qb
+        else:
+            b = (-qb - mpmath.sqrt(qb * qb - 4 * qa * qc)) / (2 * qa)
+        return float(b), float(b * (pb + pa * b))
+
+
 def exponential_slope_reference(rate, theta, alpha):
     """E[(alpha*(Y-1)+1)^(theta-1) (Y-1)] at 60 digits, as (E[w^theta] - E[w^(theta-1)])/alpha.
 

@@ -20,6 +20,7 @@ from growthopt import (
     Utility,
     VasicekParams,
     growth_rate,
+    jump_derivative_moment,
     numeric_argmax,
     optimal_allocation,
     optimal_gbm,
@@ -100,13 +101,15 @@ def test_three_halves_cases():
 @pytest.mark.parametrize("change, raises", [
     (dict(kappa=1e308, gamma_level=10.0), True),  # kappa*gamma_level overflows
     (dict(kappa=1e200), False),                   # only its square overflows
-    (dict(delta=1e-200), True),                   # delta^2 underflows
+    (dict(delta=1e-200), False),                  # delta^2 underflows, m0 = kappa
+    (dict(kappa=1e10, delta=1e-300), False),      # kappa/delta^2 and m0/delta overflow
     (dict(mu=0.03, kappa=1e308, gamma_level=10.0), True),  # bond-only branch
-], ids=["kappa-gamma", "kappa-gamma-squared", "delta-squared", "bond-only"])
+], ids=["kappa-gamma", "kappa-gamma-squared", "delta-squared", "kappa-over-delta-squared",
+        "bond-only"])
 def test_three_halves_out_of_float_range_names_parameters(change, raises):
     p = replace(ThreeHalvesParams(mu=0.08, kappa=2.0, gamma_level=0.04, delta=0.5, r=0.03,
                                   nu0=0.04), **change)
-    if not raises:  # the decision never squares kappa*gamma_level
+    if not raises:  # the decision never squares kappa*gamma_level nor divides by delta^2
         assert_variance_model_matches(p, U)
         return
     named = f"kappa={p.kappa!r}, gamma_level={p.gamma_level!r}, delta={p.delta!r}"
@@ -191,13 +194,15 @@ def test_jump_root_finder_takes_few_slopes_and_keeps_a_sign_change(monkeypatch):
 
 def test_jump_constant_y_near_zero_is_right_or_a_typed_error():
     # a*(y - 1) + 1 rounds y = 5e-324 away, and the slope at 1, -y^(theta - 1),
-    # is -4.5e161 at theta = 0.5 and beyond the float range at theta = 0.01
+    # is -4.5e161 at theta = 0.5 and beyond the float range at theta = 0.01,
+    # where its sign, that of y - 1, still places the root inside
     p = JumpDiffusionParams(mu=2.0, sigma=0.2, lambda_j=1.0, jump=ConstantJump(y=5e-324), r=0.03)
-    d = optimal_jump(p, U)
-    assert d.case_label == "Interior"
-    assert abs(d.alpha_star - numeric_argmax(p, U)) <= 1e-6
+    for u in (U, Utility(0.01)):
+        d = optimal_jump(p, u)
+        assert d.case_label == "Interior"
+        assert abs(d.alpha_star - numeric_argmax(p, u)) <= 1e-6
     with pytest.raises(DomainExceeded, match="jump_y=5e-324"):
-        optimal_jump(p, Utility(0.01))
+        jump_derivative_moment(p.jump, Utility(0.01), 1.0)
 
 
 def test_vasicek_convex_tie_goes_to_bond():

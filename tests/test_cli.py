@@ -256,6 +256,38 @@ def test_constant_jump_near_zero_optimal_is_right_or_exits_2(tmp_path, theta):
         assert abs(json.loads(proc.stdout)["alpha_star"] - want) <= 1e-6
 
 
+@pytest.mark.parametrize("theta", ["0.01", "0.05", "0.5"])
+def test_constant_jump_near_zero_optimal_is_interior(tmp_path, capsys, theta):
+    # at theta = 0.01 only the slope at alpha = 1 overflows; its sign is that of y - 1
+    text = ("model.kind = jump\nmodel.mu = 2\nmodel.sigma = 0.2\nmodel.lambda_j = 1\n"
+            "model.jump_kind = constant\nmodel.jump_y = 5e-324\nmodel.r = 0.03\n"
+            f"utility.theta = {theta}\n")
+    assert run(["optimal", "--config", write(tmp_path, "j.cfg", text)]) == 0
+    decision = json.loads(capsys.readouterr().out)
+    parsed = parse_config(text)
+    assert decision["case_label"] == "Interior"
+    assert abs(decision["alpha_star"] - numeric_argmax(parsed.model, parsed.utility)) <= 1e-6
+
+
+def test_three_halves_optimal_where_kappa_over_delta_squared_overflows(tmp_path, capsys):
+    text = THREE_HALVES_FLAT.replace("model.kappa = 2.0", "model.kappa = 1e10").replace(
+        "model.delta = 0.5", "model.delta = 1e-300")
+    assert run(["optimal", "--config", write(tmp_path, "t.cfg", text)]) == 0
+    decision = json.loads(capsys.readouterr().out)
+    assert decision["case_label"] == "ClampedToOne"
+    assert decision["alpha_dagger"] == pytest.approx(2.5, rel=1e-15)
+    parsed = parse_config(text)
+    assert numeric_argmax(parsed.model, parsed.utility) == 1.0
+
+
+@pytest.mark.parametrize("alpha", ["2", "-3"])
+def test_transform_alpha_outside_the_unit_interval_exits_2(tmp_path, capsys, alpha):
+    cfg = write(tmp_path, "t.cfg", THREE_HALVES_FLAT)
+    argv = ["transform-3-2", "--config", cfg, "--paths", "100", "--steps", "100"]
+    assert run(argv + ["--alpha", alpha]) == 2
+    assert capsys.readouterr() == ("", f"error: alpha must lie in [0, 1], got {float(alpha)!r}\n")
+
+
 def test_transform_requires_three_halves(tmp_path):
     cfg = write(tmp_path, "g.cfg", GBM_FLAT)
     assert run(["transform-3-2", "--config", cfg]) == 2

@@ -47,4 +47,5 @@ def test_cli_output_matches_golden(tmp_path, capsys, kind, suffix, argv, stream)
     assert run([argv[0], "--config", str(cfg), *argv[1:]]) == 0
     captured = capsys.readouterr()
     produced = captured.out if stream == "out" else captured.err
-    assert produced.encode() == (GOLDEN / f"{kind}.{suffix}").read_bytes()
+    # text, not bytes, so that a failure prints a line diff; still an exact match
+    assert produced == (GOLDEN / f"{kind}.{suffix}").read_bytes().decode("utf-8")

@@ -115,20 +115,9 @@ def _allocating_jump(p, alpha, t, n_steps, rng, size):
     return lognormal + per_path, 0.0
 
 
-def _allocating_laplace_block(p, lambda_l, rng, size, t, n_steps):
-    dt = t / n_steps
-    sq_dt = math.sqrt(dt)
-    x = np.full(size, 1.0 / p.nu0)
-    nu_cur = np.full(size, p.nu0)
-    integral = np.zeros(size)
-    for _ in range(n_steps):
-        dw = sq_dt * rng.standard_normal(size)
-        x_next, _ = _allocating_recip_cir_step(p, x, dt, dw)
-        nu_next = 1.0 / np.maximum(np.maximum(x_next, 0.0), verify._RECIP_FLOOR)
-        integral += 0.5 * (nu_cur + nu_next) * dt
-        x = x_next
-        nu_cur = nu_next
-    return np.exp(-lambda_l * integral)
+def _allocating_integrated_variance(p, rng, size, t, n_steps):
+    # the trapezoid integral of nu, as the growth estimator forms it at alpha = 1
+    return _allocating_three_halves(p, 1.0, t, n_steps, rng, size)[1]
 
 
 def _allocating_block(sim, model, alpha):
@@ -185,10 +174,16 @@ def test_in_place_kernel_keeps_the_allocating_bits(kind, model, t, kernel, alloc
 @pytest.mark.parametrize("model", [THREE_HALVES, THREE_HALVES_OVERFLOW],
                          ids=["three_halves", "three_halves_overflow"])
 def test_in_place_laplace_block_keeps_the_allocating_bits(model, seed):
+    # The integral's own bits first: exp(-0.125 * I) rounds away differences of
+    # a few 1e-17 in I, which a larger lambda_l can show.
     with np.errstate(over="ignore", invalid="ignore"):
-        got = verify._laplace_three_halves_block(model, 0.125, _block_rng(seed), SIZE, 1.0, STEPS)
-        want = _allocating_laplace_block(model, 0.125, _block_rng(seed), SIZE, 1.0, STEPS)
-    assert np.array_equal(_bits(got), _bits(want))
+        got = verify._three_halves_integrated_variance(model, _block_rng(seed), SIZE, 1.0, STEPS)
+        want = _allocating_integrated_variance(model, _block_rng(seed), SIZE, 1.0, STEPS)
+        assert np.array_equal(_bits(got), _bits(want))
+        for lambda_l in (0.125, 10.0):
+            got = verify._laplace_three_halves_block(model, lambda_l, _block_rng(seed), SIZE, 1.0,
+                                                     STEPS)
+            assert np.array_equal(_bits(got), _bits(np.exp(-lambda_l * want)))
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])

@@ -32,7 +32,7 @@ from growthopt import (
     mc_laplace_three_halves,
 )
 
-from reference import laplace_three_halves_reference
+from reference import laplace_three_halves_reference, ode_limits_reference
 from support import draw_heston, draw_utility, draw_vasicek
 
 U = Utility(0.5)
@@ -699,6 +699,51 @@ def test_ode_out_of_float_range_raises_domain_exceeded(integrate, model, change)
     with pytest.raises(DomainExceeded, match="ODE values leave the float range at ") as exc:
         integrate(p, U, 0.5, 100.0, 1e-3)
     assert f"{name}={value!r}" in str(exc.value)
+
+
+def _limits_within_a_few_ulps(monkeypatch, integrate, p, u, alpha):
+    """Assert that the closed-form limits are the stable root of the system
+    integrated and A' there, to 6u of each one's terms.
+
+    The terms of B_inf = 2qc/(sqrt(qb^2 - 4qa*qc) - qb) are B_inf itself,
+    scaled by (qb^2 + |4qa*qc|)/(qb^2 - 4qa*qc) for the discriminant's own
+    cancellation; those of A' = pb*B_inf + pa*B_inf^2 are the two products,
+    scaled alike.
+    """
+    systems = []
+    real = verify._rk4_quadratic_trace
+
+    def spy(**system):
+        systems.append(system)
+        return real(**system)
+
+    monkeypatch.setattr(verify, "_rk4_quadratic_trace", spy)
+    trace = integrate(p, u, alpha, 1e-20, 1e-20)  # one step: only the limits are checked
+    monkeypatch.undo()
+    (system,) = systems
+    qa, qb, qc, pa, pb = (system[k] for k in ("qa", "qb", "qc", "pa", "pb"))
+    b, a_slope = ode_limits_reference(qa, qb, qc, pa, pb)
+    cond = (qb * qb + abs(4.0 * qa * qc)) / (qb * qb - 4.0 * qa * qc)
+    u6 = 6.0 * 2.0**-53
+    assert abs(trace.b_limit_closed_form - b) <= u6 * abs(b) * cond, (p, alpha)
+    a_terms = abs(pb * b) + abs(pa * b * b)
+    assert abs(trace.a_slope_closed_form - a_slope) <= u6 * a_terms * cond, (p, alpha)
+
+
+def test_ode_limits_are_the_stable_root_on_random_draws(monkeypatch):
+    rng = np.random.default_rng(2022)
+    for integrate, draw in ((integrate_heston_riccati, draw_heston),
+                            (integrate_vasicek_ode, draw_vasicek)):
+        for _ in range(200):
+            p, u = draw(rng), draw_utility(rng)
+            _limits_within_a_few_ulps(monkeypatch, integrate, p, u, rng.uniform())
+
+
+@pytest.mark.parametrize("kappa", [10.0**e for e in range(2, 15)])
+def test_heston_ode_limits_hold_as_kappa_grows(monkeypatch, kappa):
+    # the cancelling form (kappa - sqrt(disc))/delta^2 is 17% off B_inf at kappa = 1e14
+    p = replace(HESTON, kappa=kappa)
+    _limits_within_a_few_ulps(monkeypatch, integrate_heston_riccati, p, U, 0.5)
 
 
 @pytest.mark.parametrize("t_end, dt", [(1.0, 1e-300), (1e3, 1e-6), (1e300, 1e-300)],
