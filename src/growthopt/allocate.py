@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DomainExceeded, InternalInvariantViolation, OutOfRange
 from .growth import (
     _float_range_error,
+    _vasicek_form,
     growth_rate,
     jump_derivative_moment,
 )
@@ -246,32 +247,23 @@ def optimal_jump(p: JumpDiffusionParams, u: Utility) -> AllocationDecision:
 
 
 def optimal_vasicek(p: VasicekParams, u: Utility) -> AllocationDecision:
-    """Convex/concave split of the exactly quadratic growth rate.
+    """Convex/concave split of the quadratic rate of ``growth._vasicek_form``.
 
-    In the convex case the optimum sits on a boundary and ties go to the
-    bond; in the concave case the vertex is clamped to [0, 1].
+    Convex: the end with the larger rate, ties going to the bond. Concave: the
+    vertex, clamped to [0, 1]. DomainExceeded when (delta/kappa)^2 overflows.
     """
-    theta = u.theta
-    k, g, d, s, rho = p.kappa, p.gamma_level, p.delta, p.sigma, p.rho
-    if k * k == 0.0:  # every term below divides by kappa^2
-        raise _float_range_error("Vasicek coefficients", p, ("kappa",))
-    curvature = (
-        d * d * theta / (2.0 * k * k)
-        - d * theta * s * rho / k
-        + s * s * theta / 2.0
-        - s * s / 2.0
-    )
+    theta, s, g = u.theta, p.sigma, p.gamma_level
+    l0, l1, _ = _vasicek_form(p, theta)
+    if not l0 * l0 < math.inf:
+        names = ("kappa", "delta") if p.delta > 1.0 else ("kappa",)
+        raise _float_range_error("Vasicek coefficients", p, names)
+    # the rate's alpha^2 coefficient over theta; slope0 is its slope at 0
+    curvature = l0 * l0 * theta / 2.0 - l0 * theta * l1 + s * s * theta / 2.0 - s * s / 2.0
     if curvature >= 0.0:
-        bond_side = g + d * d * theta / (2.0 * k * k)
-        stock_side = 0.5 * (theta - 1.0) * s * s + p.mu
-        star = 0.0 if bond_side >= stock_side else 1.0
+        star = 0.0 if growth_rate(p, u, 0.0) >= growth_rate(p, u, 1.0) else 1.0
         return _decide(p, u, star, CASE_CONVEX_BOUNDARY)
-    dagger = (
-        -g * theta
-        + theta * p.mu
-        + d * theta * theta * s * rho / k
-        - d * d * theta * theta / (k * k)
-    ) / (2.0 * theta * (-curvature))
+    slope0 = -g * theta + theta * p.mu + l0 * theta * theta * l1 - l0 * l0 * theta * theta
+    dagger = slope0 / (2.0 * theta * (-curvature))
     if dagger <= 0.0:
         return _decide(p, u, 0.0, CASE_CLAMPED_TO_ZERO, dagger)
     if dagger >= 1.0:

@@ -9,6 +9,12 @@ rationalized to -delta^2 alpha^2 (theta - theta^2)/(m + R), so theta * r is
 exact at alpha = 0 and nothing cancels as kappa/delta grows. For Heston the
 second term is A' - kappa*gamma*B(0), with A' = kappa*gamma*B_inf taken at
 B_inf, the stable root of the Riccati quadratic that ``verify`` integrates.
+
+The Vasicek rate is theta*(alpha*mu + (1-alpha)*gamma) + theta^2 l^2/2 + q alpha^2,
+l = (1-alpha)*delta/kappa + alpha*sigma*rho, q = (theta^2 (1-rho^2) - theta) sigma^2/2:
+the rate path's Gaussian log-moment without its two kappa*gamma*rho/delta terms,
+which cancel exactly, so nothing cancels as delta shrinks or kappa grows. As
+delta -> 0 it is the GBM rate with r = gamma.
 """
 
 from __future__ import annotations
@@ -405,6 +411,12 @@ def lambda_jump(p: JumpDiffusionParams, u: Utility, alpha: ArrayLike) -> ArrayLi
     return _diffusion_growth(p.mu, p.r, p.sigma, u.theta, a) + p.lambda_j * (moment - 1.0)
 
 
+def _vasicek_form(p: VasicekParams, theta: float):
+    """(l0, l1, q) = (delta/kappa, sigma*rho, q) of the Vasicek form above."""
+    q = 0.5 * (theta * theta * (1.0 - p.rho * p.rho) - theta) * p.sigma * p.sigma
+    return p.delta / p.kappa, p.sigma * p.rho, q
+
+
 def lambda_vasicek(p: VasicekParams, u: Utility, alpha: ArrayLike) -> ArrayLike:
     """Growth rate for a Black-Scholes stock against an OU short rate.
 
@@ -412,15 +424,9 @@ def lambda_vasicek(p: VasicekParams, u: Utility, alpha: ArrayLike) -> ArrayLike:
     """
     a = _clamp_alpha(alpha)
     theta = u.theta
-    level = theta * (1.0 - a) / p.kappa + theta * a * p.sigma * p.rho / p.delta
-    return (
-        p.kappa * p.gamma_level * level
-        + 0.5 * p.delta * p.delta * level * level
-        - theta * a * p.sigma * p.kappa * p.gamma_level * p.rho / p.delta
-        + 0.5 * theta * theta * a * a * p.sigma * p.sigma * (1.0 - p.rho * p.rho)
-        + theta * a * p.mu
-        - 0.5 * theta * a * a * p.sigma * p.sigma
-    )
+    l0, l1, q = _vasicek_form(p, theta)
+    ell = theta * ((1.0 - a) * l0 + a * l1)
+    return theta * (a * p.mu + (1.0 - a) * p.gamma_level) + 0.5 * ell * ell + q * a * a
 
 
 _RATES = {

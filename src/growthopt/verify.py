@@ -398,7 +398,8 @@ def _log_ratio_vasicek(p: VasicekParams, alpha, t, n_steps, rng, size):
         raise _float_range_error("stock variance terms", p, ("sigma",))
     dt = t / n_steps
     decay = math.exp(-p.kappa * dt)
-    innov_sd = p.delta * math.sqrt((1.0 - math.exp(-2.0 * p.kappa * dt)) / (2.0 * p.kappa))
+    # expm1, since 1 - exp(-2 kappa dt) cancels to 0 once kappa*dt nears 1e-17
+    innov_sd = p.delta * math.sqrt(-math.expm1(-2.0 * p.kappa * dt) / (2.0 * p.kappa))
     r_state = np.full(size, p.r0)
     r_next = np.empty(size)
     rate_integral = np.zeros(size)

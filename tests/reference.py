@@ -9,6 +9,11 @@ kappa + delta^2/2 (with rho = 0) for 3/2. In that form no two large terms
 cancel, so a fixed working precision serves every kappa/delta: the
 unrationalised form needs more than 2*log10(kappa/delta) digits.
 
+The Vasicek rate is taken in the paper's form, the Gaussian log-moment of the
+rate path with its two kappa*gamma*rho/delta terms, at enough digits that
+those cancel exactly; so the references check the algebra that removes them
+in ``growth._vasicek_form`` as well as its rounding.
+
 Every function converts its float inputs exactly and returns a float.
 """
 
@@ -18,6 +23,9 @@ import numpy as np
 from growthopt import HestonParams, ThreeHalvesParams, growth_rate, optimal_allocation
 
 DPS = 40
+# The paper form's kappa*gamma*rho/delta pair reaches about 1e600 for kappa
+# and 1/delta up to 1e300; at 700 digits their cancellation leaves 1e-100.
+VASICEK_DPS = 700
 
 
 def _variance_form(model):
@@ -76,6 +84,77 @@ def variance_argmax(model, u, dps=DPS):
             else:
                 hi = mid
         return float((lo + hi) / 2)
+
+
+def _quadratic_argmax(rate):
+    """Maximizer on [0, 1] of a quadratic given by its mpf values ``rate(a)``:
+    the better end (the bond on ties) when convex, else the clamped vertex."""
+    at0, at1 = rate(0), rate(1)
+    quad = 2 * (at0 - 2 * rate(mpmath.mpf(1) / 2) + at1)  # the a^2 coefficient
+    if quad >= 0:
+        return 0.0 if at0 >= at1 else 1.0
+    vertex = (at1 - at0 - quad) / (-2 * quad)
+    return float(min(max(vertex, 0), 1))
+
+
+def _gbm_rate(model, u, a):
+    theta, mu, r, s = map(mpmath.mpf, (u.theta, model.mu, model.r, model.sigma))
+    a = mpmath.mpf(a)
+    return theta * (a * mu + (1 - a) * r) + (theta * theta - theta) * s * s * a * a / 2
+
+
+def gbm_rate(model, u, alpha, dps=DPS):
+    """GBM growth rate theta*(a*mu + (1-a)*r) + (theta^2 - theta) sigma^2 a^2/2."""
+    with mpmath.workdps(dps):
+        return float(_gbm_rate(model, u, alpha))
+
+
+def gbm_argmax(model, u, dps=DPS):
+    """Maximizer on [0, 1] of the GBM growth rate."""
+    with mpmath.workdps(dps):
+        return _quadratic_argmax(lambda a: _gbm_rate(model, u, a))
+
+
+def _vasicek_inputs(model, u, alpha):
+    """(theta, a, mu, sigma, kappa, gamma_level, delta, rho) as mpf."""
+    return tuple(map(mpmath.mpf, (u.theta, alpha, model.mu, model.sigma, model.kappa,
+                                  model.gamma_level, model.delta, model.rho)))
+
+
+def _vasicek_rate(model, u, alpha):
+    """The paper's form: with level = theta(1-a)/kappa + theta*a*sigma*rho/delta,
+    kappa*gamma*level + delta^2 level^2/2 - theta*a*sigma*kappa*gamma*rho/delta
+    + theta^2 a^2 sigma^2 (1-rho^2)/2 + theta*a*mu - theta*a^2 sigma^2/2."""
+    theta, a, mu, s, k, g, d, rho = _vasicek_inputs(model, u, alpha)
+    level = theta * (1 - a) / k + theta * a * s * rho / d
+    return (k * g * level + d * d * level * level / 2 - theta * a * s * k * g * rho / d
+            + theta * theta * a * a * s * s * (1 - rho * rho) / 2 + theta * a * mu
+            - theta * a * a * s * s / 2)
+
+
+def vasicek_rate(model, u, alpha, dps=VASICEK_DPS):
+    """Vasicek growth rate at ``alpha``, from the paper's form."""
+    with mpmath.workdps(dps):
+        return float(_vasicek_rate(model, u, alpha))
+
+
+def vasicek_term_sum(model, u, alpha, dps=DPS):
+    """The sum of the magnitudes of the five terms of the cancelled form,
+    theta*a*mu, theta*(1-a)*gamma, theta^2 l^2/2, theta^2 (1-rho^2) sigma^2 a^2/2
+    and theta*sigma^2 a^2/2 with l = (1-a)*delta/kappa + a*sigma*rho: the scale
+    of a rounding error in any evaluation of that form."""
+    with mpmath.workdps(dps):
+        theta, a, mu, s, k, g, d, rho = _vasicek_inputs(model, u, alpha)
+        ell = (1 - a) * d / k + a * s * rho
+        terms = (theta * a * mu, theta * (1 - a) * g, theta**2 * ell**2 / 2,
+                 theta**2 * (1 - rho * rho) * s * s * a * a / 2, theta * s * s * a * a / 2)
+        return float(sum(abs(t) for t in terms))
+
+
+def vasicek_argmax(model, u, dps=VASICEK_DPS):
+    """Maximizer on [0, 1] of the Vasicek growth rate, from the paper's form."""
+    with mpmath.workdps(dps):
+        return _quadratic_argmax(lambda a: _vasicek_rate(model, u, a))
 
 
 def laplace_three_halves_reference(p, lambda_l, t):

@@ -30,7 +30,13 @@ from growthopt import (
     optimal_vasicek,
 )
 
-from reference import assert_variance_model_matches, variance_argmax, variance_rate
+from reference import (
+    assert_variance_model_matches,
+    gbm_argmax,
+    variance_argmax,
+    variance_rate,
+    vasicek_argmax,
+)
 from support import DRAWERS, draw_jump, draw_utility
 
 U = Utility(0.5)
@@ -463,3 +469,35 @@ def test_variance_optimum_matches_reference_across_the_float_range(
     assert abs(decision.alpha_star - variance_argmax(model, u)) <= 1e-13
     want = variance_rate(model, u, decision.alpha_star)
     assert abs(decision.lambda_at_star - want) <= 1e-14 * abs(want) + 1e-16
+
+
+@pytest.mark.parametrize("name, reference", [("gbm", gbm_argmax), ("vasicek", vasicek_argmax)])
+def test_quadratic_optimum_matches_reference(name, reference):
+    rng = np.random.default_rng(2300 + len(name))
+    for _ in range(60):
+        model = DRAWERS[name](rng)
+        u = draw_utility(rng)
+        assert abs(optimal_allocation(model, u).alpha_star - reference(model, u)) <= 1e-13
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    mu=st.floats(-0.05, 0.15),
+    sigma=st.floats(0.02, 0.6),
+    log10_kappa=st.floats(-300.0, 300.0),
+    gamma_level=st.floats(-0.01, 0.08),
+    log10_delta=st.floats(-300.0, 300.0),
+    rho=st.floats(-0.9, 0.9),
+    theta=st.floats(0.05, 0.95),
+)
+def test_vasicek_optimum_matches_reference_across_the_float_range(
+    mu, sigma, log10_kappa, gamma_level, log10_delta, rho, theta
+):
+    model = VasicekParams(mu=mu, sigma=sigma, kappa=10.0**log10_kappa, gamma_level=gamma_level,
+                          delta=10.0**log10_delta, rho=rho, r0=0.03)
+    u = Utility(theta)
+    try:
+        decision = optimal_allocation(model, u)
+    except GrowthOptError:  # delta/kappa squared leaves the float range
+        return
+    assert abs(decision.alpha_star - vasicek_argmax(model, u)) <= 1e-13

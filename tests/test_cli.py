@@ -457,6 +457,10 @@ MC_SMALL = ["verify-mc", "--t", "1", "--paths", "100", "--steps", "10"]
      "GBM coefficients leave the float range at mu=0.08, sigma=1e-200, r=0.03"),
     (VASICEK_FLAT, ("model.kappa = 2.0", "model.kappa = 1e-200"), ["optimal"],
      "Vasicek coefficients leave the float range at kappa=1e-200"),
+    (VASICEK_FLAT, ("model.delta = 0.01", "model.delta = 1e300"), ["optimal"],
+     "Vasicek coefficients leave the float range at kappa=2.0, delta=1e+300"),
+    (VASICEK_FLAT, ("model.delta = 0.01", "model.delta = 1e300"), ["curve"],
+     "vasicek growth rate is not finite: the parameters overflow the float range"),
     (GBM_FLAT, ("model.sigma = 0.2", "model.sigma = 1e200"), MC_SMALL,
      "lognormal drift terms leave the float range at sigma=1e+200"),
     (JUMP_FLAT, ("model.sigma = 0.2", "model.sigma = 1e200"), MC_SMALL,
@@ -469,6 +473,7 @@ MC_SMALL = ["verify-mc", "--t", "1", "--paths", "100", "--steps", "10"]
         "ode-vasicek-small-kappa", "optimal-three-halves", "transform-three-halves",
         "optimal-heston-feller-overflow", "ode-step-cap", "transform-three-halves-underflow",
         "optimal-gbm-sigma-squared-underflow", "optimal-vasicek-kappa-squared-underflow",
+        "optimal-vasicek-delta-overflow", "curve-vasicek-delta-overflow",
         "verify-mc-gbm-sigma-squared-overflow", "verify-mc-jump-sigma-squared-overflow",
         "verify-mc-jump-poisson-limit", "verify-mc-jump-event-limit"])
 def test_out_of_float_range_exits_2_naming_parameters(tmp_path, capsys, base, change, argv,
@@ -477,6 +482,22 @@ def test_out_of_float_range_exits_2_naming_parameters(tmp_path, capsys, base, ch
     assert run([argv[0], "--config", cfg, *argv[1:]]) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("change", [("model.delta = 0.01", "model.delta = 1e-160"),
+                                    ("model.kappa = 2.0", "model.kappa = 1e300")],
+                         ids=["delta=1e-160", "kappa=1e300"])
+def test_vasicek_rate_without_rate_noise_is_gbm_at_the_level(tmp_path, capsys, change):
+    # delta/kappa -> 0 leaves the stock against the constant rate gamma_level,
+    # whose rate at alpha = 1 is 0.035; the paper form's cancelling
+    # kappa*gamma*rho/delta pair printed 3.05e141 and -1.86e283 here
+    cfg = write(tmp_path, "v.cfg", VASICEK_FLAT.replace(*change))
+    assert run(["optimal", "--config", cfg]) == 0
+    decision = json.loads(capsys.readouterr().out)
+    assert (decision["alpha_star"], decision["lambda_at_star"]) == (1.0, 0.035)
+    assert run(["curve", "--config", cfg, "--points", "11", "--format", "json"]) == 0
+    curve = json.loads(capsys.readouterr().out)
+    assert (curve["alpha"][-1], curve["lambda"][-1]) == (1.0, 0.035)
 
 
 @pytest.mark.parametrize("paths", ["1", "2"])

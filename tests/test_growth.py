@@ -4,6 +4,8 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from growthopt import (
@@ -37,8 +39,11 @@ from growthopt.growth import ALPHA_SLACK, SLOPE_SERIES_MIN_X, _clamp_alpha
 from reference import (
     assert_variance_model_matches,
     exponential_slope_reference,
+    gbm_rate,
     laplace_three_halves_reference,
     variance_rate,
+    vasicek_rate,
+    vasicek_term_sum,
 )
 from support import (
     DRAWERS,
@@ -550,6 +555,74 @@ def test_vasicek_r0_invariance_bitwise():
     low = VasicekParams(**{**VASICEK.__dict__, "r0": -0.05})
     high = VasicekParams(**{**VASICEK.__dict__, "r0": 0.10})
     assert np.array_equal(lambda_vasicek(low, U, grid), lambda_vasicek(high, U, grid))
+
+
+# Rounding unit of a double, and an allowance for gradual underflow: a
+# rounding in the subnormal range errs by up to half the smallest subnormal,
+# 2^-1074, absolutely rather than relatively (Higham 2002, section 2.1).
+UNIT = 2.0**-53
+UNDERFLOW = 16.0 * 2.0**-1074
+
+
+def test_gbm_rate_matches_reference():
+    rng = np.random.default_rng(16)
+    for _ in range(100):
+        p = DRAWERS["gbm"](rng)
+        u = draw_utility(rng)
+        for alpha in (0.0, 0.3, 1.0):
+            want = gbm_rate(p, u, alpha)
+            assert abs(lambda_gbm(p, u, alpha) - want) <= 1e-15 * abs(want) + 1e-17
+
+
+@pytest.mark.parametrize("change, alpha, want", [
+    (dict(delta=1e-8), 0.5, 0.02624999998125),
+    (dict(delta=1e-30), 0.5, 0.02625),
+    (dict(delta=1e-160), 0.5, 0.02625),
+    (dict(kappa=1e300), 1.0, 0.035),
+], ids=["delta=1e-8", "delta=1e-30", "delta=1e-160", "kappa=1e300"])
+def test_vasicek_rate_where_the_paper_form_cancels(change, alpha, want):
+    # The paper form's kappa*gamma*rho/delta pair grows like 1/delta (and
+    # like kappa at alpha = 1); summed as written it gave 1.4e11 at
+    # delta = 1e-30 and 1.5e141 at delta = 1e-160.
+    p = replace(VASICEK, **change)
+    assert vasicek_rate(p, U, alpha) == want
+    got = growth_rate(p, U, alpha)
+    assert abs(got - want) <= 16.0 * UNIT * vasicek_term_sum(p, U, alpha)
+    assert growth_rate(p, U, np.array([alpha]))[0] == got
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    mu=st.floats(-0.05, 0.15),
+    sigma=st.floats(0.02, 0.6),
+    log10_kappa=st.floats(-300.0, 300.0),
+    gamma_level=st.floats(-0.01, 0.08),
+    log10_delta=st.floats(-300.0, 300.0),
+    rho=st.floats(-0.9, 0.9),
+    theta=st.floats(0.05, 0.95),
+    alpha=st.floats(0.0, 1.0),
+)
+def test_vasicek_rate_matches_reference_across_the_float_range(
+    mu, sigma, log10_kappa, gamma_level, log10_delta, rho, theta, alpha
+):
+    p = VasicekParams(mu=mu, sigma=sigma, kappa=10.0**log10_kappa, gamma_level=gamma_level,
+                      delta=10.0**log10_delta, rho=rho, r0=0.03)
+    u = Utility(theta)
+    try:
+        got = growth_rate(p, u, alpha)
+    except DomainExceeded:  # theta*delta/kappa squared leaves the float range
+        return
+    bound = 16.0 * UNIT * vasicek_term_sum(p, u, alpha) + UNDERFLOW
+    assert abs(got - vasicek_rate(p, u, alpha)) <= bound
+
+
+def test_vasicek_tiny_delta_is_gbm_at_the_long_run_level():
+    # delta -> 0 leaves the stock against a constant rate gamma_level
+    p = replace(VASICEK, delta=1e-160)
+    gbm = GbmParams(mu=p.mu, sigma=p.sigma, r=p.gamma_level)
+    for alpha in np.linspace(0.0, 1.0, 11).tolist():
+        want = gbm_rate(gbm, U, alpha)
+        assert abs(growth_rate(p, U, alpha) - want) <= 16.0 * UNIT * vasicek_term_sum(p, U, alpha)
 
 
 def test_vasicek_small_delta_degenerates_to_gbm():

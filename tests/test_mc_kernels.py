@@ -81,7 +81,7 @@ def _allocating_vasicek(p, alpha, t, n_steps, rng, size):
     a_sigma = alpha * p.sigma
     dt = t / n_steps
     decay = math.exp(-p.kappa * dt)
-    innov_sd = p.delta * math.sqrt((1.0 - math.exp(-2.0 * p.kappa * dt)) / (2.0 * p.kappa))
+    innov_sd = p.delta * math.sqrt(-math.expm1(-2.0 * p.kappa * dt) / (2.0 * p.kappa))
     r_state = np.full(size, p.r0)
     rate_integral = np.zeros(size)
     eta_sum = np.zeros(size)

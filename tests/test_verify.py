@@ -432,7 +432,7 @@ def _two_normal_vasicek(p, alpha, t, n_steps, rng, size):
     sq_dt = math.sqrt(dt)
     rho_c = math.sqrt(1.0 - p.rho * p.rho)
     decay = math.exp(-p.kappa * dt)
-    innov_sd = p.delta * math.sqrt((1.0 - math.exp(-2.0 * p.kappa * dt)) / (2.0 * p.kappa))
+    innov_sd = p.delta * math.sqrt(-math.expm1(-2.0 * p.kappa * dt) / (2.0 * p.kappa))
     r_state = np.full(size, p.r0)
     rate_integral = np.zeros(size)
     stock_brownian = np.zeros(size)
@@ -492,6 +492,16 @@ def test_conditional_kernels_draw_one_normal_row_per_step(kind, model, kernel, t
     rng = _CountingRng(verify._AntitheticNormals(_block_generator(3, 0)))
     kernel(model, 0.5, 1.0, 20, rng, 100)
     assert rng.calls == [("standard_normal", (100,), {})] * 20
+
+
+def test_mc_vasicek_rate_path_moves_at_tiny_kappa():
+    # The OU innovation variance delta^2 (1 - exp(-2 kappa dt))/(2 kappa) tends
+    # to delta^2 dt as kappa -> 0; taking 1 - exp(...) directly cancels to 0
+    # once kappa*dt nears 1e-17 and froze the rate path, 21 SE off here.
+    ests = [mc_growth_estimate(replace(VASICEK, kappa=kappa), U, 0.0, 1.0, 2_000, 20, seed=23)
+            for kappa in (1e-18, 1e-12)]
+    gap = abs(ests[0].lambda_hat - ests[1].lambda_hat)
+    assert gap <= 3.0 * math.hypot(ests[0].std_error, ests[1].std_error)
 
 
 def test_mc_vasicek_alpha_zero_is_random():
