@@ -14,18 +14,30 @@ rate path with its two kappa*gamma*rho/delta terms, at enough digits that
 those cancel exactly; so the references check the algebra that removes them
 in ``growth._vasicek_form`` as well as its rounding.
 
+The jump-diffusion references take constant and exponential laws in closed
+form, the latter through DLMF 8.2.2's incomplete gamma, and find the
+optimum by bisecting the slope as the variance references do.
+
 Every function converts its float inputs exactly and returns a float.
 """
 
 import mpmath
 import numpy as np
 
-from growthopt import HestonParams, ThreeHalvesParams, growth_rate, optimal_allocation
+from growthopt import (
+    ConstantJump,
+    HestonParams,
+    ThreeHalvesParams,
+    growth_rate,
+    optimal_allocation,
+)
 
 DPS = 40
 # The paper form's kappa*gamma*rho/delta pair reaches about 1e600 for kappa
 # and 1/delta up to 1e300; at 700 digits their cancellation leaves 1e-100.
 VASICEK_DPS = 700
+# The exponential slope's difference of moments cancels log10(1/alpha) digits.
+JUMP_DPS = 60
 
 
 def _variance_form(model):
@@ -64,26 +76,28 @@ def variance_rate(model, u, alpha, dps=DPS):
         return float(_rate_and_slope(model, u, alpha)[0])
 
 
-def variance_argmax(model, u, dps=DPS):
-    """Maximizer on [0, 1] of the Heston or 3/2 growth rate.
+def _bisect_slope(slope):
+    """Maximizer on [0, 1] of a concave rate given its mpf slope: 0 when the
+    slope at 0 is <= 0, 1 when the slope at 1 is >= 0, and otherwise the
+    slope's root, found by bisection to below a float ulp of 1."""
+    if slope(0) <= 0:
+        return 0.0
+    if slope(1) >= 0:
+        return 1.0
+    lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+    for _ in range(64):
+        mid = (lo + hi) / 2
+        if slope(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return float((lo + hi) / 2)
 
-    The rate is concave, so its slope decreases: 0 when the slope at 0 is
-    <= 0, 1 when the slope at 1 is >= 0, and otherwise the slope's root,
-    found by bisection to below a float ulp of 1.
-    """
+
+def variance_argmax(model, u, dps=DPS):
+    """Maximizer on [0, 1] of the Heston or 3/2 growth rate, which is concave."""
     with mpmath.workdps(dps):
-        if _rate_and_slope(model, u, 0)[1] <= 0:
-            return 0.0
-        if _rate_and_slope(model, u, 1)[1] >= 0:
-            return 1.0
-        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
-        for _ in range(64):
-            mid = (lo + hi) / 2
-            if _rate_and_slope(model, u, mid)[1] > 0:
-                lo = mid
-            else:
-                hi = mid
-        return float((lo + hi) / 2)
+        return _bisect_slope(lambda a: _rate_and_slope(model, u, a)[1])
 
 
 def _quadratic_argmax(rate):
@@ -188,22 +202,65 @@ def ode_limits_reference(qa, qb, qc, pa, pb):
         return float(b), float(b * (pb + pa * b))
 
 
+def _exponential_moment(rate, alpha, s):
+    """E[w^s] for Y ~ Exponential(rate) and w = alpha*Y + 1 - alpha, alpha in (0, 1]:
+    with x = rate*(1/alpha - 1), (alpha/rate)^s e^x Gamma(s+1, x) (DLMF 8.2.2)."""
+    x = rate * (1 / alpha - 1)
+    return (alpha / rate) ** s * mpmath.exp(x) * mpmath.gammainc(s + 1, x)
+
+
+def _exponential_slope(rate, theta, alpha):
+    """E[w^(theta-1) (Y-1)] for Y ~ Exponential(rate), as (E[w^theta] - E[w^(theta-1)])/alpha,
+    which cancels log10(1/alpha) digits, and 1/rate - 1 at alpha = 0."""
+    if alpha == 0:
+        return 1 / rate - 1
+    moment = _exponential_moment
+    return (moment(rate, alpha, theta) - moment(rate, alpha, theta - 1)) / alpha
+
+
 def exponential_slope_reference(rate, theta, alpha):
-    """E[(alpha*(Y-1)+1)^(theta-1) (Y-1)] at 60 digits, as (E[w^theta] - E[w^(theta-1)])/alpha.
+    """E[(alpha*(Y-1)+1)^(theta-1) (Y-1)] at 60 digits for Y ~ Exponential(rate)."""
+    with mpmath.workdps(JUMP_DPS):
+        return float(_exponential_slope(*map(mpmath.mpf, (rate, theta, alpha))))
 
-    With w = alpha*Y + 1 - alpha and x = rate*(1/alpha - 1),
-    E[w^s] = (alpha/rate)^s e^x Gamma(s+1, x) (DLMF 8.2.2).
-    """
-    with mpmath.workdps(60):
-        rate, theta, alpha = mpmath.mpf(rate), mpmath.mpf(theta), mpmath.mpf(alpha)
-        if alpha == 0:
-            return float(1 / rate - 1)
-        x = rate * (1 / alpha - 1)
 
-        def moment(s):
-            return (alpha / rate) ** s * mpmath.exp(x) * mpmath.gammainc(s + 1, x)
+def _jump_rate_and_slope(model, u, alpha):
+    """The jump-diffusion rate theta*(a*mu + (1-a)*r) + (theta^2 - theta) sigma^2 a^2/2
+    + lambda_j*(E[w^theta] - 1) and its alpha-derivative, with w = a*Y + 1 - a, as mpf,
+    for a constant or exponential law."""
+    theta, mu, r, s, lam = map(mpmath.mpf, (u.theta, model.mu, model.r, model.sigma,
+                                            model.lambda_j))
+    a = mpmath.mpf(alpha)
+    if isinstance(model.jump, ConstantJump):
+        y = mpmath.mpf(model.jump.y)
+        w = a * y + (1 - a)  # (a*y + 1) - a would round a subnormal y away
+        moment, jump_slope = w**theta, w ** (theta - 1) * (y - 1)
+    else:
+        rate = mpmath.mpf(model.jump.rate)
+        moment = _exponential_moment(rate, a, theta) if a > 0 else mpmath.mpf(1)
+        jump_slope = _exponential_slope(rate, theta, a)
+    v = theta * theta - theta
+    growth = theta * (a * mu + (1 - a) * r) + v * s * s * a * a / 2 + lam * (moment - 1)
+    return growth, theta * (mu - r) + v * s * s * a + lam * theta * jump_slope
 
-        return float((moment(theta) - moment(theta - 1)) / alpha)
+
+def jump_rate(model, u, alpha, dps=JUMP_DPS):
+    """Jump-diffusion growth rate at ``alpha`` for a constant or exponential law."""
+    with mpmath.workdps(dps):
+        return float(_jump_rate_and_slope(model, u, alpha)[0])
+
+
+def jump_slope(model, u, alpha, dps=JUMP_DPS):
+    """The alpha-derivative of ``jump_rate`` at ``alpha``."""
+    with mpmath.workdps(dps):
+        return float(_jump_rate_and_slope(model, u, alpha)[1])
+
+
+def jump_argmax(model, u, dps=JUMP_DPS):
+    """Maximizer on [0, 1] of the jump-diffusion rate: the rate is strictly
+    concave, so 0, 1 or the root of its slope, by bisection to 2^-64."""
+    with mpmath.workdps(dps):
+        return _bisect_slope(lambda a: _jump_rate_and_slope(model, u, a)[1])
 
 
 def assert_variance_model_matches(model, u, alpha_tol=1e-14):

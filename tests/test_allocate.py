@@ -1,3 +1,4 @@
+import contextlib
 import math
 from dataclasses import replace
 
@@ -33,6 +34,9 @@ from growthopt import (
 from reference import (
     assert_variance_model_matches,
     gbm_argmax,
+    jump_argmax,
+    jump_rate,
+    jump_slope,
     variance_argmax,
     variance_rate,
     vasicek_argmax,
@@ -211,6 +215,132 @@ def test_jump_constant_y_near_zero_is_right_or_a_typed_error():
         jump_derivative_moment(p.jump, Utility(0.01), 1.0)
 
 
+@contextlib.contextmanager
+def jump_slope_calls():
+    """Yield a list that gains the alpha of each ``allocate._jump_slope`` call."""
+    calls = []
+    slope = allocate._jump_slope
+
+    def counted(p, u, alpha):
+        calls.append(alpha)
+        return slope(p, u, alpha)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(allocate, "_jump_slope", counted)
+        yield calls
+
+
+def meets_stop_rule(model, u, alpha):
+    """optimal_jump's stop rule against the reference slope: |slope| <= 1e-12
+    at alpha, or the root of the decreasing slope within 1e-14 of alpha."""
+    if abs(jump_slope(model, u, alpha)) <= 1e-12:
+        return True
+    return jump_slope(model, u, max(alpha - 1e-14, 0.0)) >= 0.0 >= jump_slope(
+        model, u, min(alpha + 1e-14, 1.0))
+
+
+# the slope falls from about 1 at alpha = 0 to -y^(theta - 1) at 1: -4.5e161 at
+# theta = 0.5, beyond the float range at theta = 0.01
+CREEP = JumpDiffusionParams(mu=2.0, sigma=0.2, lambda_j=1.0, jump=ConstantJump(y=5e-324), r=0.03)
+
+
+@pytest.mark.parametrize("model, theta, label, star", [
+    (CREEP, 0.5, "Interior", 0.73842057),
+    (CREEP, 0.05, "Interior", 0.50510678),
+    (CREEP, 0.01, "Interior", 0.49077631),
+    (replace(CREEP, mu=1.5, jump=ConstantJump(y=1e-300)), 0.3, "Interior", 0.41666394),
+    (JumpDiffusionParams(mu=0.7, sigma=0.3, lambda_j=1.0, jump=ConstantJump(y=0.5), r=0.03), 0.5,
+     "Interior", 0.76265165),
+    (JumpDiffusionParams(mu=0.08, sigma=0.2, lambda_j=1.0, jump=ExponentialJump(rate=0.8), r=0.03),
+     0.5, "Interior", 0.59097764),
+    (JumpDiffusionParams(mu=1.5, sigma=0.2, lambda_j=1.0, jump=ExponentialJump(rate=1e6), r=0.03),
+     0.5, "Interior", 0.53047832),
+    (JumpDiffusionParams(mu=0.05, sigma=0.2, lambda_j=2.0, jump=ExponentialJump(rate=1.0), r=0.03),
+     0.1, "Interior", 0.011112714),
+    (JumpDiffusionParams(mu=0.5, sigma=0.3, lambda_j=1.0, jump=ConstantJump(y=0.5), r=0.03), 0.5,
+     "BondOnly", 0.0),
+    (JumpDiffusionParams(mu=0.08, sigma=0.05, lambda_j=0.1, jump=ExponentialJump(rate=1e-3),
+                         r=0.03), 0.2, "StockOnly", 1.0),
+], ids=["y-5e-324-theta-0.5", "y-5e-324-theta-0.05", "y-5e-324-theta-0.01", "y-1e-300",
+        "y-0.5", "rate-0.8", "rate-1e6", "rate-1-theta-0.1", "bond", "stock"])
+def test_jump_optimum_matches_reference(model, theta, label, star):
+    u = Utility(theta)
+    d = optimal_jump(model, u)
+    assert d.case_label == label
+    assert d.alpha_star == pytest.approx(star, abs=1e-8)
+    assert abs(d.alpha_star - jump_argmax(model, u)) <= 1e-10
+    assert label != "Interior" or meets_stop_rule(model, u, d.alpha_star)
+    want = jump_rate(model, u, d.alpha_star)
+    assert abs(d.lambda_at_star - want) <= 1e-13 * abs(want)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    constant=st.booleans(),
+    log2_y=st.integers(-1074, 1),
+    log2_y_frac=st.floats(0.0, 0.5),
+    rate=st.floats(0.5, 5.0),
+    excess=st.floats(-0.05, 0.15),
+    sigma=st.floats(0.05, 0.6),
+    lambda_j=st.floats(0.1, 3.0),
+    r=st.floats(-0.02, 0.08),
+    theta=st.floats(0.05, 0.95),
+)
+def test_jump_optimum_meets_its_stop_rule_against_reference(
+    constant, log2_y, log2_y_frac, rate, excess, sigma, lambda_j, r, theta
+):
+    # y log-uniform over [5e-324, 2^1.5]; the slope at 0 is theta*excess, with
+    # excess over the support's mu range, so that most draws with y near 0 search
+    law = ConstantJump(y=2.0 ** (log2_y + log2_y_frac)) if constant else ExponentialJump(rate=rate)
+    model = JumpDiffusionParams(mu=r + excess + lambda_j * (1.0 - law.mean()), sigma=sigma,
+                                lambda_j=lambda_j, jump=law, r=r)
+    u = Utility(theta)
+    d = optimal_jump(model, u)
+    if d.case_label == "BondOnly":
+        assert jump_slope(model, u, 0.0) <= 1e-12
+    elif d.case_label == "StockOnly":
+        assert jump_slope(model, u, 1.0) >= -1e-12
+    else:
+        assert meets_stop_rule(model, u, d.alpha_star)
+
+
+def test_jump_search_bisects_where_false_position_creeps():
+    # false position alone creeps from 0 against a slope of -4.5e161 at 1 for
+    # hundreds of steps; bisection alone takes about 50
+    for theta in (0.5, 0.05):
+        with jump_slope_calls() as calls:
+            optimal_jump(CREEP, Utility(theta))
+        assert len(calls) <= 20, theta
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    constant=st.booleans(),
+    log2_y=st.floats(-1074.0, 996.0),
+    log10_rate=st.floats(-300.0, 300.0),
+    log10_premium=st.floats(-8.0, 4.0),
+    negative=st.booleans(),
+    log10_sigma=st.floats(-8.0, 4.0),
+    log10_lambda=st.floats(-8.0, 4.0),
+    r=st.floats(-0.02, 0.08),
+    theta=st.floats(0.05, 0.95),
+)
+def test_jump_search_slope_calls_are_bounded(
+    constant, log2_y, log10_rate, log10_premium, negative, log10_sigma, log10_lambda, r, theta
+):
+    law = ConstantJump(y=2.0**log2_y) if constant else ExponentialJump(rate=10.0**log10_rate)
+    premium = -(10.0**log10_premium) if negative else 10.0**log10_premium
+    model = JumpDiffusionParams(mu=r + premium, sigma=10.0**log10_sigma,
+                                lambda_j=10.0**log10_lambda, jump=law, r=r)
+    with jump_slope_calls() as calls:
+        try:
+            optimal_jump(model, Utility(theta))
+        except GrowthOptError:
+            pass
+    # the bound in STALL_STEPS's comment, plus the slopes at 0 and 1
+    assert len(calls) <= (allocate.STALL_STEPS + 1) * math.ceil(math.log2(1e14)) + 2
+
+
 def test_vasicek_convex_tie_goes_to_bond():
     # every quantity dyadic: gamma + delta^2 theta/(2 kappa^2) == (theta-1) sigma^2/2 + mu
     p = VasicekParams(mu=0.5, sigma=0.5, kappa=0.5, gamma_level=0.1875, delta=0.5, rho=0.0, r0=0.03)
@@ -230,6 +360,30 @@ def test_vasicek_convex_boundaries():
     assert hi.alpha_star == 1.0
     # the numeric maximizer agrees even though the rate is convex
     assert abs(hi.alpha_star - numeric_argmax(VasicekParams(mu=0.30, **base), U)) <= 1e-6
+
+
+def test_vasicek_decides_where_only_delta_over_kappa_squared_overflows():
+    # (delta/kappa)^2 overflows but the rate's alpha = 0 term
+    # (theta*delta/kappa)^2/2 = 9.16e307 does not: the curvature is inf, so
+    # the finite end rates decide
+    p = VasicekParams(mu=0.10623603982520959, sigma=0.06508007094278354,
+                      kappa=1.5412213631726247e-175, gamma_level=0.0008721407331969168,
+                      delta=3.8237583297373355e-21, rho=-0.781846461615715, r0=0.03)
+    u = Utility(0.5455502079549728)
+    d = optimal_vasicek(p, u)
+    assert d.case_label == "ConvexBoundary"
+    assert d.alpha_star == numeric_argmax(p, u) == vasicek_argmax(p, u) == 0.0
+    assert d.lambda_at_star == pytest.approx(9.159890612224202e307, rel=1e-15)
+
+
+def test_vasicek_nan_vertex_raises_naming_parameters():
+    # (theta*delta/kappa)^2/2 is finite, but l0^2 and (l0*theta)*(sigma*rho)
+    # overflow, so the curvature is inf - inf
+    p = VasicekParams(mu=0.05, sigma=1e155, kappa=1e-154, gamma_level=0.03, delta=10.0, rho=1.0,
+                      r0=0.03)
+    with pytest.raises(DomainExceeded, match=r"^Vasicek coefficients leave the float range at "
+                       r"kappa=1e-154, delta=10.0, sigma=1e\+155$"):
+        optimal_vasicek(p, Utility(0.05))
 
 
 def test_vasicek_concave_degeneration_matches_gbm():
@@ -498,6 +652,6 @@ def test_vasicek_optimum_matches_reference_across_the_float_range(
     u = Utility(theta)
     try:
         decision = optimal_allocation(model, u)
-    except GrowthOptError:  # delta/kappa squared leaves the float range
+    except GrowthOptError:  # (theta*delta/kappa)^2 leaves the float range
         return
     assert abs(decision.alpha_star - vasicek_argmax(model, u)) <= 1e-13

@@ -93,6 +93,20 @@ def test_parse_type_mismatches():
         parse_config(GBM_FLAT + "just a line\n")
 
 
+@pytest.mark.parametrize("text, error, message", [
+    (GBM_FLAT.replace("model.kind = gbm\n", ""), MissingKey, "missing key 'model.kind'"),
+    (GBM_FLAT.replace("kind = gbm", "kind = cir"), TypeMismatch,
+     "model.kind: unknown model 'cir'; expected one of: gbm, heston, jump, three_halves, vasicek"),
+    (GBM_FLAT + "utility.rra = 0.5\n", UnknownKey, "unknown key 'utility.rra'"),
+], ids=["no-kind", "unknown-kind", "unknown-utility-key"])
+def test_parse_kind_and_utility_key_errors_exit_2(tmp_path, capsys, text, error, message):
+    with pytest.raises(error) as exc:
+        parse_config(text)
+    assert str(exc.value) == message
+    assert run(["optimal", "--config", write(tmp_path, "c.cfg", text)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_parse_missing_utility():
     with pytest.raises(MissingKey, match="utility"):
         parse_config(GBM_FLAT.replace("utility.theta = 0.5\n", ""))

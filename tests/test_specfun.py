@@ -91,6 +91,17 @@ def test_kummer_error_estimate_bounds_the_error(b, a_share, log10_z):
     assert err <= res.est_abs_error
 
 
+# z > 0 takes the raw series, whose terms (for a > 0) are all positive.
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(a=st.floats(-5.0, 30.0), b=st.floats(0.1, 60.0), log10_z=st.floats(-4.0, math.log10(700.0)))
+def test_kummer_positive_argument_error_estimate_bounds_the_error(a, b, log10_z):
+    z = 10.0**log10_z
+    res = kummer_m(a, b, z)
+    with mpmath.workdps(50):
+        err = abs(mpmath.mpf(res.value) - mpmath.hyp1f1(a, b, z))
+    assert err <= res.est_abs_error
+
+
 def test_kummer_derivative_identity():
     # d/dz M(a,b,z) = (a/b) M(a+1, b+1, z), probed by central differences.
     rng = np.random.default_rng(7)

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from growthopt import verify
+from growthopt.cli import MC_ALLOWANCE
 from growthopt import (
     ConstantJump,
     DegenerateVariance,
+    DensityJump,
     DomainExceeded,
     ExponentialJump,
     GbmParams,
@@ -22,6 +24,7 @@ from growthopt import (
     ThreeHalvesParams,
     Utility,
     VasicekParams,
+    growth_rate,
     integrate_heston_riccati,
     integrate_vasicek_ode,
     lambda_gbm,
@@ -293,6 +296,17 @@ def test_mc_gbm_matches_closed_form():
     closed = float(lambda_gbm(GBM, U, 1.0))
     assert abs(est.lambda_hat - closed) <= max(3.0 * est.std_error, 5e-3)
     assert est.n_paths == 50_000 and est.seed == 2024
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_mc_density_law_matches_closed_form(alpha):
+    # the density law's jump factors come from the sampler's tabulated
+    # inverse CDF, not from a closed-form sampler
+    law = DensityJump(density=lambda y: 0.5, bound=2.0)
+    model = JumpDiffusionParams(mu=0.08, sigma=0.2, lambda_j=1.0, jump=law, r=0.03)
+    est = mc_growth_estimate(model, U, alpha, 20.0, 32_768, 1, seed=0x5EED)
+    closed = float(growth_rate(model, U, alpha))
+    assert abs(est.lambda_hat - closed) <= 3.0 * est.std_error + MC_ALLOWANCE["jump"]
 
 
 def test_mc_alpha_zero_deterministic():
