@@ -3,11 +3,11 @@
 Each ``optimal_*`` function implements the exact case analysis for its
 model; the Heston and 3/2 models share one, because their growth rates
 share one form. ``numeric_argmax`` is an independent maximizer used to
-cross-check every closed form. It takes the best point of one 64-point
+cross-check every closed form. It takes the best point of one 16-point
 grid; at an end of [0, 1], one probe END_PROBE inside can settle the
-answer at that end, and otherwise golden section runs between the grid
-neighbours. Both hold for unimodal or convex rates; concavity itself is
-checked by acceptance 03.
+answer at that end, and otherwise Brent's localmin (parabolic steps with a
+golden-section fallback) runs between the grid neighbours. Both hold for
+unimodal or convex rates; concavity itself is checked by acceptance 03.
 """
 
 from __future__ import annotations
@@ -70,8 +70,10 @@ _CASES = {
     CASE_CONVEX_BOUNDARY,
 }
 
-# Golden-section interval shrink tolerance.
-GOLDEN_TOL = 1e-10
+# numeric_argmax's absolute tolerance on alpha; Brent's search adds sqrt(eps)*|alpha|.
+ARGMAX_TOL = 1e-10
+# Calls the Brent search may take beyond golden section's count on its bracket.
+BRENT_SLACK = 8
 # How far inside an end numeric_argmax probes, and the rounding (in ulps of
 # the larger of the two rates) that the end's lead over the probe must beat.
 END_PROBE = 1e-7
@@ -286,17 +288,22 @@ def optimal_allocation(model: ModelSpec, u: Utility) -> AllocationDecision:
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+_SQRT_EPS = 2.0**-26  # the square root of the double epsilon 2^-52
+
+
+def _golden_steps(h: float, tol: float) -> int:
+    """Steps golden section takes to shrink a bracket of width h to tol."""
+    return max(0, math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
 
 
 def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximizer for a unimodal f on [lo, hi]."""
+    """Golden-section maximizer for a unimodal f on [lo, hi]: 2 + _golden_steps calls."""
     h = hi - lo
-    n = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
     c = lo + _INV_PHI2 * h
     d = lo + _INV_PHI * h
     yc = f(c)
     yd = f(d)
-    for _ in range(n):
+    for _ in range(_golden_steps(h, tol)):
         if yc > yd:
             hi, d, yd = d, c, yc
             h *= _INV_PHI
@@ -310,8 +317,73 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -
     return 0.5 * (lo + hi)
 
 
+def _brent_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
+    """Maximizer of a unimodal f on [lo, hi] by Brent's localmin (*Algorithms
+    for Minimization without Derivatives*, 1973, ch. 5).
+
+    The best point x starts at the golden point of [lo, hi]. Each step goes
+    to the vertex of the parabola through the three best points when that
+    lies inside the bracket and moves less than half the step before last,
+    and otherwise takes a golden-section step into the larger side; no step
+    is shorter than tol1 = sqrt(eps)*|x| + tol/3, below which a smooth f is
+    flat to rounding. The search stops once the bracket lies within 2*tol1
+    of x, and returns x. Its steps run only while golden section could still
+    finish the bracket within BRENT_SLACK calls of its count on [lo, hi];
+    golden section takes over otherwise. So f is called at most
+    2 + _golden_steps(hi - lo, tol) + BRENT_SLACK times.
+    """
+    budget = 2 + _golden_steps(hi - lo, tol) + BRENT_SLACK
+    a, b = lo, hi
+    x = w = v = a + _INV_PHI2 * (b - a)
+    fx = fw = fv = f(x)
+    calls, step, last = 1, 0.0, 0.0  # last: the step before the current one
+    while True:
+        mid = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + tol / 3.0
+        if abs(x - mid) <= 2.0 * tol1 - 0.5 * (b - a):
+            return x
+        if calls + 3 + _golden_steps(b - a, tol) > budget:
+            return _golden_max(f, a, b, tol)
+        parabolic = False
+        if abs(last) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            before, last = last, step
+            if abs(p) < abs(0.5 * q * before) and q * (a - x) < p < q * (b - x):
+                step = p / q
+                if x + step - a < 2.0 * tol1 or b - (x + step) < 2.0 * tol1:
+                    step = tol1 if x < mid else -tol1
+                parabolic = True
+        if not parabolic:
+            last = (a if x >= mid else b) - x
+            step = _INV_PHI2 * last
+        t = x + (step if abs(step) >= tol1 else math.copysign(tol1, step))
+        ft = f(t)
+        calls += 1
+        if ft >= fx:
+            if t >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, t, ft
+        else:
+            if t < x:
+                a = t
+            else:
+                b = t
+            if ft >= fw or w == x:
+                v, fv, w, fw = w, fw, t, ft
+            elif ft >= fv or v == x or v == w:
+                v, fv = t, ft
+
+
 # numeric_argmax's grid, built once; read-only, because every call shares it.
-_ARGMAX_GRID = np.linspace(0.0, 1.0, 64)
+_ARGMAX_GRID = np.linspace(0.0, 1.0, 16)
 _ARGMAX_GRID.flags.writeable = False
 _ARGMAX_LAST = _ARGMAX_GRID.size - 1
 
@@ -319,7 +391,7 @@ _ARGMAX_LAST = _ARGMAX_GRID.size - 1
 def numeric_argmax(model: ModelSpec, u: Utility) -> float:
     """Maximizer of the growth rate on [0, 1], independent of case analyses.
 
-    Takes the best point of one 64-point grid, the first on ties (the bond,
+    Takes the best point of one 16-point grid, the first on ties (the bond,
     for a convex rate with equal ends). When that point is an end, one probe
     END_PROBE inside it can settle the answer: if the end's rate leads the
     probe's by more than END_PROBE_ULPS ulps, more than both roundings, the
@@ -327,13 +399,14 @@ def numeric_argmax(model: ModelSpec, u: Utility) -> float:
     convex rate lies within END_PROBE of the end, which is returned exactly.
     The probe sits far enough in that the rise of the rate toward a
     maximizer 1e-6 or more from the end beats that margin, unless the rate
-    is too flat for golden section to place it to 1e-6 either. A density
-    jump law is never settled: its moment is exactly 1 at alpha = 0 but
-    comes from quadrature inside, so the two rates differ by the
-    quadrature's error. Otherwise golden section runs between the grid
-    neighbours of the best point, a bracket that holds that maximizer;
-    acceptance 03 checks concavity. Work: one array call, then one scalar
-    call for a settled end, else at most 43.
+    is too flat for any search to place it to 1e-6 either. A density jump
+    law is never settled: its moment is exactly 1 at alpha = 0 but comes
+    from quadrature inside, so the two rates differ by the quadrature's
+    error. Otherwise ``_brent_max`` runs between the grid neighbours of the
+    best point, a bracket that holds that maximizer; acceptance 03 checks
+    concavity. Work: one array call, then one scalar call for a settled
+    end, else at most 54: 46 + BRENT_SLACK on an interior point's 2/15
+    bracket, 1 + 45 + BRENT_SLACK with the probe on an end's 1/15.
     """
     grid = _ARGMAX_GRID
     rates = growth_rate(model, u, grid)
@@ -347,4 +420,4 @@ def numeric_argmax(model: ModelSpec, u: Utility) -> float:
             return float(grid[best])
     lo = float(grid[max(best - 1, 0)])
     hi = float(grid[min(best + 1, _ARGMAX_LAST)])
-    return _golden_max(lambda a: growth_rate(model, u, a), lo, hi, GOLDEN_TOL)
+    return _brent_max(lambda a: growth_rate(model, u, a), lo, hi, ARGMAX_TOL)

@@ -65,6 +65,9 @@ ALPHA_SLACK = 1e-9
 DENSITY_QUAD_ABS_TOL = 1e-9
 DENSITY_QUAD_LIMIT = 10_000
 
+# growth_curve's largest grid: a spacing of 1e-6, 8 MB per array.
+CURVE_MAX_POINTS = 1_000_001
+
 # Above this x = rate*(1/alpha - 1) the exponential-law slope is summed from
 # its asymptotic series, whose smallest term (near k = x) is below 1e-16 of
 # the sum from here on; below it the incomplete-gamma closed form, whose two
@@ -484,10 +487,11 @@ class GrowthCurve:
 
 
 def growth_curve(model: ModelSpec, u: Utility, n_points: int) -> GrowthCurve:
-    """Sample the growth rate on a uniform n-point grid spanning [0, 1]."""
+    """Sample the growth rate on a uniform n-point grid spanning [0, 1],
+    2 <= n_points <= CURVE_MAX_POINTS; int() truncates a fractional count."""
+    if not 2 <= n_points <= CURVE_MAX_POINTS:  # NaN fails both comparisons
+        raise OutOfRange(f"n_points must lie in [2, {CURVE_MAX_POINTS:,}], got {n_points}")
     n_points = int(n_points)
-    if n_points < 2:
-        raise OutOfRange(f"n_points must be >= 2, got {n_points}")
     alphas = np.linspace(0.0, 1.0, n_points)
     lambdas = np.asarray(growth_rate(model, u, alphas), dtype=float)
     return GrowthCurve(model=model, theta=u, alphas=alphas, lambdas=lambdas)

@@ -44,6 +44,8 @@ from reference import (
 from support import DRAWERS, draw_jump, draw_utility
 
 U = Utility(0.5)
+# numeric_argmax's worst case beyond its one array call, as its docstring states
+ARGMAX_MAX_SCALAR_CALLS = 54
 
 
 def one_sided_slope(model, u, at, h=1e-6):
@@ -396,8 +398,9 @@ def test_vasicek_concave_degeneration_matches_gbm():
 def test_numeric_argmax_fallback_work_is_bounded(monkeypatch):
     # mu == r and a unit jump leave a numerically flat objective; the
     # reference Heston rate is concave and the Vasicek rate below is convex
-    # (it peaks at alpha = 1). Each costs one 64-point array call and at
-    # most 43 scalar calls.
+    # (it peaks at alpha = 1). Each costs one 16-point array call and at
+    # most ARGMAX_MAX_SCALAR_CALLS scalar calls: 31 for the flat objective,
+    # and one settling probe for the other two.
     models = [
         JumpDiffusionParams(mu=0.03, sigma=1e-9, lambda_j=1.0, jump=ConstantJump(y=1.0), r=0.03),
         HestonParams(mu=0.08, kappa=2.0, gamma_level=0.04, delta=0.3, rho=-0.5, r=0.03, nu0=0.04),
@@ -413,8 +416,9 @@ def test_numeric_argmax_fallback_work_is_bounded(monkeypatch):
         monkeypatch.setattr(allocate, "growth_rate", counting_rate)
         numeric = numeric_argmax(p, U)
         monkeypatch.undo()
-        assert max(sizes) == 64, p
-        assert len(sizes) <= 44, p
+        assert max(sizes) == 16, p
+        assert len(sizes) <= 1 + ARGMAX_MAX_SCALAR_CALLS, p
+        assert len(sizes) == (32 if p is models[0] else 2), p
         best = optimal_allocation(p, U)
         assert float(growth_rate(p, U, best.alpha_star)) - float(growth_rate(p, U, numeric)) <= 1e-10
 
@@ -434,14 +438,15 @@ def counted_argmax(monkeypatch, model, u):
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("excess", [1e-8, 3e-9])
-def test_numeric_argmax_does_not_settle_a_maximizer_just_inside_an_end(monkeypatch, excess):
+@pytest.mark.parametrize("excess, calls", [(1e-8, 43), (3e-9, 40)], ids=["1e-08", "3e-09"])
+def test_numeric_argmax_does_not_settle_a_maximizer_just_inside_an_end(monkeypatch, excess, calls):
     # alpha* = 8e-6 and 2.4e-6, inside the grid's first cell. A probe 1e-10
     # in reads a rate that rounds equal to the end's; the rate at END_PROBE
-    # is above it, so golden section runs.
+    # is above it, so the Brent search runs; near alpha = 0 its step floor
+    # is tol/3, so it takes many steps.
     p = GbmParams(mu=0.03 + excess, sigma=0.05, r=0.03)
     numeric, sizes = counted_argmax(monkeypatch, p, U)
-    assert sizes[:2] == [64, 1] and len(sizes) == 44
+    assert sizes[:2] == [16, 1] and len(sizes) == calls
     assert abs(numeric - optimal_gbm(p, U).alpha_star) <= 1e-6
 
 
@@ -459,26 +464,26 @@ def test_numeric_argmax_settles_an_end_with_one_probe(monkeypatch):
     for p, end in [(GbmParams(mu=0.01, sigma=0.2, r=0.03), 0.0),
                    (GbmParams(mu=0.08, sigma=0.2, r=0.03), 1.0)]:
         numeric, sizes = counted_argmax(monkeypatch, p, U)
-        assert sizes == [64, 1]
+        assert sizes == [16, 1]
         assert numeric == end == optimal_gbm(p, U).alpha_star
 
 
-def test_numeric_argmax_is_golden_section_unless_an_end_is_settled(monkeypatch):
+def test_numeric_argmax_is_a_brent_search_unless_an_end_is_settled(monkeypatch):
     models = [(GbmParams(mu=0.03 + excess, sigma=0.05, r=0.03), U) for excess in (1e-8, 3e-9)]
     rng = np.random.default_rng(15)
     for draw in DRAWERS.values():
         models += [(draw(rng), draw_utility(rng)) for _ in range(40)]
-    grid = np.linspace(0.0, 1.0, 64)
+    grid = np.linspace(0.0, 1.0, 16)
     kinds = {"interior": 0, "end": 0}
     for model, u in models:
         numeric, sizes = counted_argmax(monkeypatch, model, u)
-        if sizes == [64, 1]:
+        if sizes == [16, 1]:
             continue
         best = int(np.argmax(growth_rate(model, u, grid)))
-        kinds["end" if best in (0, 63) else "interior"] += 1
-        want = allocate._golden_max(
+        kinds["end" if best in (0, 15) else "interior"] += 1
+        want = allocate._brent_max(
             lambda a: growth_rate(model, u, a),
-            float(grid[max(best - 1, 0)]), float(grid[min(best + 1, 63)]), allocate.GOLDEN_TOL,
+            float(grid[max(best - 1, 0)]), float(grid[min(best + 1, 15)]), allocate.ARGMAX_TOL,
         )
         assert numeric == want
     assert kinds["interior"] > 0 and kinds["end"] > 0, kinds
@@ -489,12 +494,78 @@ def test_numeric_argmax_never_settles_a_density_law(monkeypatch):
     # alpha = 0 and about that mass inside, so the end leads every probe
     # although the rate rises toward alpha* = 5.0e-3 and 3.8e-5
     law = DensityJump(density=lambda y: math.exp(-y), bound=20.0)
-    for excess in (2.6e-3, 2e-5):
+    for excess, calls in ((2.6e-3, 18), (2e-5, 31)):
         p = JumpDiffusionParams(mu=0.03 + excess, sigma=0.2, lambda_j=1.0, jump=law, r=0.03)
         assert float(growth_rate(p, U, 0.0)) > float(growth_rate(p, U, allocate.END_PROBE))
         numeric, sizes = counted_argmax(monkeypatch, p, U)
-        assert sizes == [64] + [1] * 42  # golden section on [0, 1/63], no probe
+        assert sizes == [16] + [1] * calls  # Brent on [0, 1/15], no probe
         assert abs(numeric - optimal_jump(p, U).alpha_star) <= 1e-6
+
+
+def test_numeric_argmax_scalar_call_bound_is_the_documented_one():
+    # an end's search follows its probe on a one-cell bracket; an interior
+    # point's runs on two cells; a density law's end has no probe
+    grid = allocate._ARGMAX_GRID
+    budgets = [
+        (best in (0, 15)) + 2 + allocate.BRENT_SLACK + allocate._golden_steps(
+            float(grid[min(best + 1, 15)]) - float(grid[max(best - 1, 0)]), allocate.ARGMAX_TOL)
+        for best in range(16)
+    ]
+    assert grid.size == 16 and max(budgets) == min(budgets) == ARGMAX_MAX_SCALAR_CALLS
+
+
+def wavy(center, amplitude, frequency):
+    """A peak at ``center`` with a sine ripple: not unimodal for a large ripple."""
+    return lambda x: -math.sqrt(abs(x - center)) + amplitude * math.sin(frequency * x)
+
+
+@pytest.mark.parametrize("slack", [2, 4, allocate.BRENT_SLACK])
+def test_brent_search_calls_stay_within_golden_section_plus_slack(monkeypatch, slack):
+    # the guard hands the bracket to golden section while it can still finish
+    # within the budget; a ripple that misleads the parabolic steps reaches it
+    monkeypatch.setattr(allocate, "BRENT_SLACK", slack)
+    lo, hi, tol = 0.0, 2.0 / 15.0, allocate.ARGMAX_TOL
+    budget = 2 + allocate._golden_steps(hi - lo, tol) + slack
+    rng = np.random.default_rng(26)
+    at_budget = 0
+    for i in range(200):
+        center = rng.uniform(lo, hi)
+        ripple = 0.0 if i % 4 == 0 else 10.0 ** rng.uniform(-8.0, 0.0)
+        f = wavy(center, ripple, 10.0 ** rng.uniform(1.0, 3.0))
+        xs = []
+        x = allocate._brent_max(lambda a: xs.append(a) or f(a), lo, hi, tol)
+        assert lo <= x <= hi and len(xs) <= budget
+        at_budget += len(xs) == budget
+        if ripple == 0.0:
+            assert abs(x - center) <= 1e-6
+    assert at_budget > 0 or slack > 2, at_budget
+
+
+def test_brent_search_falls_back_to_golden_section_at_its_budget():
+    xs = []
+    f = wavy(0.01369398035485223, 0.21482118234538514, 39.18189601793543)
+    x = allocate._brent_max(lambda a: xs.append(a) or f(a), 0.0, 2.0 / 15.0, allocate.ARGMAX_TOL)
+    assert len(xs) == ARGMAX_MAX_SCALAR_CALLS
+    assert abs(x - 0.01369398035485223) <= 1e-8
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(DRAWERS) + ["flat"]), seed=st.integers(0, 2**32 - 1))
+def test_numeric_argmax_calls_and_agreement_property(kind, seed):
+    # the flat objective (mu == r, a unit jump) has no unique maximizer, so
+    # only its value shortfall is checked
+    if kind == "flat":
+        model = JumpDiffusionParams(mu=0.03, sigma=1e-9, lambda_j=1.0, jump=ConstantJump(y=1.0), r=0.03)
+        u = draw_utility(np.random.default_rng(seed))
+    else:
+        rng = np.random.default_rng(seed)
+        model, u = DRAWERS[kind](rng), draw_utility(rng)
+    numeric, sizes = counted_argmax(pytest.MonkeyPatch(), model, u)
+    assert sizes[0] == 16 and sizes[1:] == [1] * (len(sizes) - 1)
+    assert len(sizes) - 1 <= ARGMAX_MAX_SCALAR_CALLS
+    best = optimal_allocation(model, u).alpha_star
+    assert kind == "flat" or abs(best - numeric) <= 1e-6
+    assert float(growth_rate(model, u, numeric)) - float(growth_rate(model, u, best)) <= 1e-10
 
 
 def with_alpha_star(model, u, target):

@@ -150,6 +150,14 @@ def test_curve_csv(tmp_path):
     assert "," in lines[2] and "e" not in lines[0]
 
 
+@pytest.mark.parametrize("points", ["1000002", "100000000000000000000"])
+def test_curve_refuses_a_grid_above_the_cap(tmp_path, capsys, points):
+    cfg = write(tmp_path, "h.cfg", HESTON_CFG)
+    assert run(["curve", "--config", cfg, "--points", points]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_points must lie in [2, 1,000,001]")
+
+
 def test_curve_json_and_points_from_config(tmp_path):
     cfg = write(tmp_path, "h.cfg", HESTON_CFG + "run.points = 5\nrun.format = json\n")
     out = tmp_path / "curve.json"

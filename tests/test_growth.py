@@ -644,6 +644,14 @@ def test_growth_curve_structure():
         growth_curve(HESTON, U, 1)
 
 
+@pytest.mark.parametrize("n_points", [math.nan, math.inf, -math.inf, 1_000_002, 1e300, 10**400])
+def test_growth_curve_refuses_counts_it_cannot_sample(n_points):
+    # refused before int() or np.linspace sees them: a ValueError, an
+    # OverflowError or a huge allocation otherwise
+    with pytest.raises(OutOfRange, match=r"n_points must lie in \[2, 1,000,001\]"):
+        growth_curve(HESTON, U, n_points)
+
+
 def test_growth_rate_dispatch_matches_direct():
     assert growth_rate(GBM, U, 0.3) == lambda_gbm(GBM, U, 0.3)
     assert growth_rate(HESTON, U, 0.3) == lambda_heston(HESTON, U, 0.3)
