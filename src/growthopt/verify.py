@@ -21,11 +21,11 @@ threads no longer trade the GIL around each of those calls.
 
 A time-stepped block allocates a fixed set of path arrays once and
 updates them in place, allocating nothing per step: at 16,384 paths,
-7 x 128 KiB for Heston and 5 for Vasicek and for the 3/2 variance path,
-each count including the block's normal buffer. Both 3/2 estimators step
-that one path and integrate nu by the trapezoid rule; the growth
-estimator then allocates one more array, its log-return. The arrays
-belong to one block's call, so worker threads never share them.
+7 x 128 KiB for Heston, 5 for the 3/2 variance path and 2 for Vasicek,
+which sums its normals with the scheme's weights, each count including
+the block's normal buffer. Both 3/2 estimators step that one path and
+integrate nu by the trapezoid rule; the growth estimator then allocates
+one more array, its log-return. Worker threads never share the arrays.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import numpy as np
 
 from .errors import (
     DegenerateVariance,
+    DomainExceeded,
     NonFinitePath,
     OutOfRange,
     StepSizeTooLarge,
@@ -388,44 +389,39 @@ def _log_ratio_jump(p: JumpDiffusionParams, alpha, t, n_steps, rng, size):
 def _log_ratio_vasicek(p: VasicekParams, alpha, t, n_steps, rng, size):
     """Log-return without the stock's own normal, and that term's variance.
 
-    The stock's noise is rho*eta + sqrt(1 - rho^2) z with z independent of
-    the rate path, so given the path the z term is Gaussian with variance
-    alpha^2 sigma^2 (1 - rho^2) t. Raises DomainExceeded naming sigma when
-    (alpha*sigma)^2 overflows.
+    The rate takes its exact Gaussian step r' = gamma_level + (r - gamma_level) D
+    + s eta, D = e^{-kappa dt}, and the trapezoid rule integrates it, so the
+    log-return is a fixed level plus sum_k c_k eta_k (Glasserman, 2003, §3.3),
+    summed instead of stepped: eta_k enters the m = n - 1 - k later rates with
+    weight w(m) = (1 - D^m)/(1 - D) + D^m/2. The stock's noise is rho*eta +
+    sqrt(1 - rho^2) z with z independent of the rate path, so given the path
+    the z term is Gaussian with variance alpha^2 sigma^2 (1 - rho^2) t. Raises
+    DomainExceeded naming sigma when (alpha*sigma)^2 overflows.
     """
     a_sigma = alpha * p.sigma
     if not math.isfinite(a_sigma * a_sigma):
         raise _float_range_error("stock variance terms", p, ("sigma",))
     dt = t / n_steps
-    decay = math.exp(-p.kappa * dt)
-    # expm1, since 1 - exp(-2 kappa dt) cancels to 0 once kappa*dt nears 1e-17
-    innov_sd = p.delta * math.sqrt(-math.expm1(-2.0 * p.kappa * dt) / (2.0 * p.kappa))
-    r_state = np.full(size, p.r0)
-    r_next = np.empty(size)
-    rate_integral = np.zeros(size)
-    eta_sum = np.zeros(size)
-    for _ in range(n_steps):
+    kappa_dt = p.kappa * dt
+    # expm1, since 1 - exp(-x) cancels to 0 once x nears 1e-17
+    one_minus_decay = -math.expm1(-kappa_dt)
+    innov_sd = p.delta * math.sqrt(-math.expm1(-2.0 * kappa_dt) / (2.0 * p.kappa))
+
+    def weight(m):  # D^0 = 1 at m = 0: kappa*dt is finite, as n_steps >= 10*t keeps dt <= 0.1
+        if one_minus_decay == 0.0:  # D = 1 to the last bit
+            return m + 0.5
+        return -math.expm1(-m * kappa_dt) / one_minus_decay + 0.5 * math.exp(-m * kappa_dt)
+
+    stock_c, rate_c = a_sigma * p.rho * math.sqrt(dt), (1.0 - alpha) * innov_sd * dt
+    log_ratio = np.zeros(size)
+    for m in range(n_steps - 1, -1, -1):
         eta = rng.standard_normal(size)
-        eta_sum += eta
-        # gamma_level + (r - gamma_level) decay + innov_sd eta
-        np.subtract(r_state, p.gamma_level, out=r_next)
-        r_next *= decay
-        r_next += p.gamma_level
-        eta *= innov_sd
-        r_next += eta
-        # the trapezoid 0.5 (r + r_next) dt, in r's buffer, which r_next then takes
-        r_state += r_next
-        r_state *= 0.5
-        r_state *= dt
-        rate_integral += r_state
-        r_state, r_next = r_next, r_state
-    # alpha mu t - (alpha sigma)^2 t / 2 + alpha sigma rho sqrt(dt) sum eta
-    # + (1 - alpha) integral of r
-    log_ratio = eta_sum
-    log_ratio *= a_sigma * p.rho * math.sqrt(dt)
-    log_ratio += alpha * p.mu * t - 0.5 * a_sigma * a_sigma * t
-    rate_integral *= 1.0 - alpha
-    log_ratio += rate_integral
+        eta *= stock_c + rate_c * weight(m)
+        log_ratio += eta
+    # alpha mu t - (alpha sigma)^2 t / 2 + (1 - alpha) times the trapezoid sum of
+    # the rates' means, dt (n gamma_level + (r0 - gamma_level)(w(n) - 1/2))
+    level = (p.r0 - p.gamma_level) * (weight(n_steps) - 0.5) + n_steps * p.gamma_level
+    log_ratio += alpha * p.mu * t - 0.5 * a_sigma * a_sigma * t + (1.0 - alpha) * dt * level
     return log_ratio, a_sigma * a_sigma * (1.0 - p.rho * p.rho) * t
 
 
@@ -600,7 +596,8 @@ def mc_growth_estimate(
 
     Identical arguments give a bit-identical estimate for any ``workers``.
     Raises DegenerateVariance when every path of a lognormal or jump model
-    at alpha > 0 is equal, which its exact sampler cannot produce.
+    at alpha > 0 is equal, which its exact sampler cannot produce, and
+    DomainExceeded when the mean is so small that its SE is not finite.
     """
     alpha = _clamp_alpha(float(alpha))
     sim, conditional = _SIMULATORS[kind_of(model)]
@@ -617,12 +614,15 @@ def mc_growth_estimate(
         return np.exp(log_ratio, out=log_ratio)
 
     m, se_m, run = _simulate(block_fn, t, n_paths, n_steps, seed, workers, conditional)
+    t = run["horizon_t"]  # as coerced to float
+    se = se_m / (m * t) if m * t > 0.0 else math.inf
+    if not math.isfinite(se):  # every path's (V_t/V_0)^theta rounds to 0, or nearly
+        raise DomainExceeded(f"the mean of (V_t/V_0)^theta, {m!r}, leaves the float range")
     if se_m == 0.0 and alpha != 0.0 and not conditional:
         raise DegenerateVariance(
             "all simulated paths are identical; check the RNG configuration"
         )
-    t = run["horizon_t"]  # as coerced to float
-    return SimEstimate(lambda_hat=math.log(m) / t, std_error=se_m / (m * t), **run)
+    return SimEstimate(lambda_hat=math.log(m) / t, std_error=se, **run)
 
 
 def mc_laplace_three_halves(

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growthopt import (
     DuplicateKey,
@@ -561,3 +567,86 @@ def test_verify_mc_vasicek_sigma_overflow_exits_2_naming_sigma(tmp_path, capsys)
     assert run([MC_SMALL[0], "--config", cfg, *MC_SMALL[1:]]) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: stock variance terms leave the float range at sigma=1e+200\n")
+
+
+HESTON_UNDERFLOW = (
+    "model.kind = heston\nmodel.mu = 0.5247143660107907\nmodel.kappa = 2.351314962480705e17\n"
+    "model.gamma_level = 0.3996310232364607\nmodel.delta = 2.3724296668245673e-17\n"
+    "model.rho = -0\nmodel.r = -0.01682195498980866\nmodel.nu0 = 0.005951607649355645\n"
+    "utility.theta = 0.5075515724636939\n"
+)
+
+
+@pytest.mark.parametrize("text", [
+    # kappa*dt = 1.2e16 throws the Euler variance to about 5e15 in one step;
+    # log(0) was a ValueError traceback
+    HESTON_UNDERFLOW,
+    # an exact sampler; this read "all simulated paths are identical; check the
+    # RNG configuration"
+    GBM_FLAT.replace("model.mu = 0.08", "model.mu = -1e30"),
+], ids=["heston", "gbm"])
+def test_verify_mc_mean_that_underflows_exits_2(tmp_path, capsys, text):
+    # every path's (V_t/V_0)^theta rounds to 0
+    cfg = write(tmp_path, "u.cfg", text)
+    argv = ["verify-mc", "--config", cfg, "--t", "1", "--paths", "64", "--steps", "20",
+            "--alpha", "0.4"]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: the mean of (V_t/V_0)^theta, 0.0, leaves the float range\n")
+
+
+# model values across the float range, with mixed signs and the special values
+FUZZ_VALUE = st.one_of(
+    st.builds(lambda exponent, sign: sign * 10.0 ** exponent, st.floats(-30.0, 30.0),
+              st.sampled_from([1.0, -1.0])),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-320, 1e308, -1e308]),
+)
+SIMULATION_KINDS = {"verify-mc": sorted(REFERENCE_CONFIGS), "transform-3-2": ["three_halves"],
+                    "verify-ode": ["heston", "vasicek"]}
+
+
+def _reference_values(kind):
+    """The reference config's model values, as text, by key."""
+    pairs = (line.split(" = ", 1) for line in REFERENCE_CONFIGS[kind].splitlines())
+    return {key[len("model."):]: value for key, value in pairs}
+
+
+@st.composite
+def _simulation_runs(draw):
+    command = draw(st.sampled_from(sorted(SIMULATION_KINDS)))
+    kind = draw(st.sampled_from(SIMULATION_KINDS[command]))
+    model = _reference_values(kind)
+    chosen = {"theta": repr(draw(st.floats(0.01, 0.99))), "alpha": repr(draw(st.floats(0.0, 1.0)))}
+    # at most two values leave the reference, so that many runs reach a simulator
+    fuzzable = sorted(set(model) - {"kind", "jump_kind"}) + sorted(chosen)
+    for key in draw(st.sets(st.sampled_from(fuzzable), max_size=2)):
+        (chosen if key in chosen else model)[key] = repr(draw(FUZZ_VALUE))
+    text = "".join(f"model.{key} = {value}\n" for key, value in model.items())
+    text += f"utility.theta = {chosen['theta']}\n"
+    # --flag=value, since argparse takes a lone "-1e+16" for a flag
+    argv = [f"--alpha={chosen['alpha']}"]
+    if command == "verify-ode":
+        dt = 10.0 ** draw(st.floats(-6.0, 2.0))
+        argv += [f"--t-end={dt * draw(st.integers(1, 2_000))!r}", f"--dt={dt!r}"]
+    else:
+        steps = draw(st.integers(1, 20))
+        argv += [f"--t={steps / 10.0 * 10.0 ** draw(st.floats(-6.0, 0.0))!r}",  # n_steps >= 10*t
+                 f"--paths={draw(st.integers(1, 64))}", f"--steps={steps}",
+                 f"--workers={draw(st.integers(1, 2))}"]
+    return command, text, argv
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(_simulation_runs())
+def test_simulation_subcommands_never_raise(case):
+    # every outcome is an exit code; a typed error prints one line and exits 2
+    command, text, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fuzz.cfg"
+        cfg.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([command, "--config", str(cfg), *argv])
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

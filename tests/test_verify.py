@@ -6,6 +6,8 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growthopt import verify
 from growthopt.cli import MC_ALLOWANCE
@@ -522,6 +524,44 @@ def test_mc_vasicek_alpha_zero_is_random():
     # with a stochastic rate the bond-only portfolio is still random
     est = mc_growth_estimate(VASICEK, U, 0.0, 2.0, 5_000, 40, seed=3)
     assert est.std_error > 0.0
+
+
+def _vasicek_scheme_rate(p, u, alpha, t, n_steps):
+    """The Vasicek scheme's exact horizon-t rate, from its path recursion.
+
+    Each rate r_k is carried as its mean plus a coefficient on every step
+    normal, through r_{k+1} = gamma_level + (r_k - gamma_level) D + s eta_k
+    and the trapezoid pairs (r_k + r_{k+1}) dt/2. L0 is then Gaussian with a
+    known mean and variance, and E[e^{theta L}] = exp(theta E[L0] +
+    theta^2 (Var L0 + v)/2), with v the stock's own conditional variance.
+    """
+    dt = t / n_steps
+    decay = math.exp(-p.kappa * dt)
+    innov_sd = p.delta * math.sqrt(-math.expm1(-2.0 * p.kappa * dt) / (2.0 * p.kappa))
+    a_sigma = alpha * p.sigma
+    mean = alpha * p.mu * t - 0.5 * a_sigma * a_sigma * t
+    coef = np.full(n_steps, a_sigma * p.rho * math.sqrt(dt))
+    r_mean, r_coef = p.r0, np.zeros(n_steps)
+    for k in range(n_steps):
+        next_mean = p.gamma_level + (r_mean - p.gamma_level) * decay
+        next_coef = r_coef * decay
+        next_coef[k] += innov_sd
+        mean += (1.0 - alpha) * 0.5 * (r_mean + next_mean) * dt
+        coef += (1.0 - alpha) * 0.5 * (r_coef + next_coef) * dt
+        r_mean, r_coef = next_mean, next_coef
+    v = a_sigma * a_sigma * (1.0 - p.rho * p.rho) * t
+    return (u.theta * mean + 0.5 * u.theta * u.theta * (coef @ coef + v)) / t
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_mc_vasicek_matches_its_scheme_exact_rate(seed):
+    # the estimator's only error against its own scheme is sampling error
+    rng = np.random.default_rng(seed)
+    model, u, alpha = draw_vasicek(rng), draw_utility(rng), rng.uniform(0.0, 1.0)
+    est = mc_growth_estimate(model, u, alpha, 1.0, 20_000, 20, seed=seed)
+    exact = _vasicek_scheme_rate(model, u, alpha, 1.0, 20)
+    assert abs(est.lambda_hat - exact) <= 4.0 * est.std_error
 
 
 def test_mc_laplace_zero_rate():
