@@ -410,7 +410,7 @@ def numeric_argmax(model: ModelSpec, u: Utility) -> float:
     """
     grid = _ARGMAX_GRID
     rates = growth_rate(model, u, grid)
-    best = int(np.argmax(rates))
+    best = int(rates.argmax())
     if (best == 0 or best == _ARGMAX_LAST) and not isinstance(
         getattr(model, "jump", None), DensityJump
     ):

@@ -280,13 +280,9 @@ def _exponential_moment(rate: float, theta: float, alpha: float) -> float:
 def _exponential_moments(rate: float, theta: float, alphas: list) -> list:
     """``_exponential_moment`` at each alpha in [0, 1], 1.0 at alpha = 0, with one
     incomplete-gamma call for the whole list."""
-    inner = [i for i, a in enumerate(alphas) if a != 0.0]
-    xs = np.array([rate * (1.0 / alphas[i] - 1.0) for i in inner])
-    scaled = upper_incomplete_gamma_scaled(theta + 1.0, xs).value.tolist()
-    moments = [1.0] * len(alphas)
-    for i, g in zip(inner, scaled):
-        moments[i] = (alphas[i] / rate) ** theta * g
-    return moments
+    xs = np.array([rate * (1.0 / a - 1.0) for a in alphas if a != 0.0])
+    scaled = iter(upper_incomplete_gamma_scaled(theta + 1.0, xs).value.tolist())
+    return [(a / rate) ** theta * next(scaled) if a != 0.0 else 1.0 for a in alphas]
 
 
 def _exponential_slope(rate: float, theta: float, alpha: float) -> float:
@@ -476,9 +472,20 @@ class GrowthCurve:
     lambdas: np.ndarray
 
     def __post_init__(self):
+        # each field is coerced once and stored back, so a list or a tuple
+        # comes out as the array the properties read
         a = np.asarray(self.alphas, dtype=float)
-        if a.size < 2 or a[0] != 0.0 or a[-1] != 1.0 or np.any(np.diff(a) <= 0.0):
+        lambdas = np.asarray(self.lambdas, dtype=float)
+        if a.ndim != 1 or lambdas.shape != a.shape:
+            raise OutOfRange(
+                "alphas and lambdas must be 1-D and of one length, got shapes "
+                f"{a.shape} and {lambdas.shape}"
+            )
+        # one comparison pass; NaN fails it instead of passing
+        if a.size < 2 or a[0] != 0.0 or a[-1] != 1.0 or not (a[1:] > a[:-1]).all():
             raise OutOfRange("alpha grid must increase strictly from 0 to 1")
+        object.__setattr__(self, "alphas", a)
+        object.__setattr__(self, "lambdas", lambdas)
 
     @property
     def samples(self):
@@ -492,6 +499,7 @@ def growth_curve(model: ModelSpec, u: Utility, n_points: int) -> GrowthCurve:
     if not 2 <= n_points <= CURVE_MAX_POINTS:  # NaN fails both comparisons
         raise OutOfRange(f"n_points must lie in [2, {CURVE_MAX_POINTS:,}], got {n_points}")
     n_points = int(n_points)
-    alphas = np.linspace(0.0, 1.0, n_points)
-    lambdas = np.asarray(growth_rate(model, u, alphas), dtype=float)
-    return GrowthCurve(model=model, theta=u, alphas=alphas, lambdas=lambdas)
+    # np.linspace(0, 1, n)'s own arithmetic, bit for bit, without its dispatch
+    alphas = np.arange(n_points) * (1.0 / (n_points - 1))
+    alphas[-1] = 1.0
+    return GrowthCurve(model=model, theta=u, alphas=alphas, lambdas=growth_rate(model, u, alphas))

@@ -556,14 +556,17 @@ def _simulate(block_fn, t, n_paths, n_steps, seed, workers, discretized):
     run = dict(horizon_t=t, n_paths=n_paths, n_steps=n_steps, seed=seed)
     if (values == values[0]).all():  # np.mean need not return that value
         return float(values[0]), 0.0, run
-    mean = float(np.mean(values))
-    squares = 0.0
-    for start in range(0, n_paths, BLOCK_SIZE):
-        dev = values[start:start + BLOCK_SIZE] - mean
-        half = (dev.size + 1) // 2
-        unit = dev[:half]  # a pair's deviation is the sum of its paths'
-        unit[: dev.size - half] += dev[half:]
-        squares += float(np.dot(unit, unit))
+    # a mean near the float range overflows the sum or the squares, which
+    # the caller's check of the SE reports instead of a numpy warning
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(values))
+        squares = 0.0
+        for start in range(0, n_paths, BLOCK_SIZE):
+            dev = values[start:start + BLOCK_SIZE] - mean
+            half = (dev.size + 1) // 2
+            unit = dev[:half]  # a pair's deviation is the sum of its paths'
+            unit[: dev.size - half] += dev[half:]
+            squares += float(np.dot(unit, unit))
     se = math.sqrt(units / (units - 1) * squares) / n_paths
     return mean, se, run
 

@@ -443,6 +443,22 @@ def test_overflowing_model_prints_only_the_error_line(tmp_path, base, argv, mess
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
 
 
+def test_verify_mc_mean_near_the_float_range_prints_only_the_error_line(tmp_path):
+    # a mean of about 1.3e306 overflows the sum of squared deviations; the SE
+    # check names it, with no numpy RuntimeWarning ahead of the error line
+    cfg = write(tmp_path, "m.cfg", "model.kind = gbm\nmodel.mu = 0.0712\nmodel.sigma = 0.001\n"
+                "model.r = 0.03\nutility.theta = 0.99\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "growthopt.cli", "verify-mc", "--config", cfg, "--t", "10000",
+         "--paths", "64", "--steps", "1", "--alpha", "1"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (2, "", 1)
+    assert proc.stderr.startswith("error: the mean of (V_t/V_0)^theta, ")
+    assert proc.stderr.endswith(" leaves the float range\n")
+
+
 VASICEK_FLAT = (
     "model.kind = vasicek\nmodel.mu = 0.08\nmodel.sigma = 0.2\n"
     "model.kappa = 2.0\nmodel.gamma_level = 0.03\nmodel.delta = 0.01\n"
@@ -650,3 +666,48 @@ def test_simulation_subcommands_never_raise(case):
     assert code in (0, 1, 2, 3)
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# grid sizes at and past the edges of what growth_curve accepts, and small valid ones
+CURVE_POINTS = st.one_of(
+    st.sampled_from(["1", "2", "2.5", "-3", "nan", "inf", "1e300", "1000002"]),
+    st.integers(2, 40).map(str),
+)
+
+
+@st.composite
+def _closed_form_runs(draw):
+    command = draw(st.sampled_from(["curve", "optimal"]))
+    kind = draw(st.sampled_from(sorted(REFERENCE_CONFIGS)))
+    model = _reference_values(kind)
+    chosen = {"theta": repr(draw(st.floats(0.01, 0.99)))}
+    # at most two values leave the reference, as in the simulation fuzz
+    fuzzable = sorted(set(model) - {"kind", "jump_kind"}) + sorted(chosen)
+    for key in draw(st.sets(st.sampled_from(fuzzable), max_size=2)):
+        (chosen if key in chosen else model)[key] = repr(draw(FUZZ_VALUE))
+    text = "".join(f"model.{key} = {value}\n" for key, value in model.items())
+    text += f"utility.theta = {chosen['theta']}\n"
+    argv = [f"--points={draw(CURVE_POINTS)}"] if command == "curve" else []
+    return command, text, argv
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_closed_form_runs())
+def test_closed_form_subcommands_never_raise(case):
+    # every outcome is an exit code; a result is finite and a typed error one line
+    command, text, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fuzz.cfg"
+        cfg.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([command, "--config", str(cfg), *argv])
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    elif code == 0 and command == "curve":
+        header, *rows = out.getvalue().splitlines()
+        assert header == "alpha,lambda" and len(rows) == int(argv[0].split("=")[1])
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+    elif code == 0:
+        assert 0.0 <= json.loads(out.getvalue())["alpha_star"] <= 1.0

@@ -4,7 +4,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -14,6 +14,7 @@ from growthopt import (
     DomainExceeded,
     ExponentialJump,
     GbmParams,
+    GrowthCurve,
     HestonParams,
     JumpDiffusionParams,
     OutOfRange,
@@ -650,6 +651,41 @@ def test_growth_curve_refuses_counts_it_cannot_sample(n_points):
     # OverflowError or a huge allocation otherwise
     with pytest.raises(OutOfRange, match=r"n_points must lie in \[2, 1,000,001\]"):
         growth_curve(HESTON, U, n_points)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(2, 1_000_001))
+@example(2)
+@example(3)
+@example(16)
+@example(101)
+@example(1001)
+@example(1_000_001)
+def test_growth_curve_grid_has_the_bytes_of_linspace(n_points):
+    alphas = growth_curve(GBM, U, n_points).alphas
+    assert alphas.tobytes() == np.linspace(0.0, 1.0, n_points).tobytes()
+
+
+def test_growth_curve_refuses_a_nan_inside_the_grid():
+    with pytest.raises(OutOfRange, match="increase strictly"):
+        GrowthCurve(HESTON, U, np.array([0.0, math.nan, 1.0]), np.zeros(3))
+
+
+def test_growth_curve_refuses_lambdas_of_another_length():
+    with pytest.raises(OutOfRange, match="one length"):
+        GrowthCurve(HESTON, U, np.array([0.0, 0.5, 1.0]), np.zeros(2))
+
+
+def test_growth_curve_refuses_a_two_dimensional_grid():
+    # a column passes every test of a 1-D grid element by element
+    with pytest.raises(OutOfRange, match="1-D"):
+        GrowthCurve(HESTON, U, np.array([[0.0], [0.5], [1.0]]), np.zeros((3, 1)))
+
+
+def test_growth_curve_stores_lists_as_float_arrays():
+    curve = GrowthCurve(HESTON, U, [0, 0.5, 1], [0.01, 0.02, 0.03])
+    assert curve.alphas.dtype == curve.lambdas.dtype == np.float64
+    assert curve.samples == [(0.0, 0.01), (0.5, 0.02), (1.0, 0.03)]
 
 
 def test_growth_rate_dispatch_matches_direct():
